@@ -275,9 +275,6 @@ KafkaShardAdapter::KafkaShardAdapter(Network* net, const SimParams& params, Shar
   endpoint_.Register(kShardRead, [this](NodeId, Decoder d, Responder r) {
     HandleRead(d, std::move(r));
   });
-  endpoint_.Register(kShardMultiRangeRead, [this](NodeId, Decoder d, Responder r) {
-    HandleMultiRangeRead(d, std::move(r));
-  });
   endpoint_.Register(kShardSetStableGp, [this](NodeId, Decoder d, Responder r) {
     HandleSetStableGp(d, std::move(r));
   });
@@ -411,81 +408,22 @@ void KafkaShardAdapter::ApplyWindow(PendingWindow w) {
 }
 
 void KafkaShardAdapter::HandleRead(Decoder d, Responder r) {
-  ShardReadReq req;
-  if (!req.Decode(d)) {
+  auto req = std::make_shared<ShardReadReq>();
+  if (!req->Decode(d) || req->ranges.empty()) {
     r.Send(Status::InvalidArgument("bad read"));
     return;
   }
-  if (req.pos >= stable_gp_) {
-    if (req.nowait) {
-      r.Send(Status::OutOfRange("not stable"));
-      return;
-    }
+  if (req->wait && req->ranges.front().pos >= stable_gp_) {
     slow_reads_++;
-    waiters_.push_back(Waiter{req, std::move(r)});
+    waiters_.push_back(Waiter{std::move(req), std::move(r)});
     return;
   }
-  ServeRead(req, std::move(r));
+  ServeNextRange(std::move(req), 0, std::make_shared<ShardReadResp>(), std::move(r));
 }
 
-void KafkaShardAdapter::ServeRead(const ShardReadReq& req, Responder r) {
-  auto it = pos_to_offset_.find(req.pos);
-  if (it == pos_to_offset_.end()) {
-    r.Send(Status::Internal("stable position unknown to adapter"));
-    return;
-  }
-  const uint64_t offset = it->second;
-  Encoder e;
-  e.PutU64(offset);
-  e.PutU32(req.len);
-  const LogPos stable = stable_gp_;
-  endpoint_.Call(kafka_leader_, kKafkaFetch, e.Take(),
-                 [this, offset, stable, r](Status s, Decoder d) mutable {
-                   if (!s.ok()) {
-                     r.Send(std::move(s));
-                     return;
-                   }
-                   std::vector<WireRecord> wire;
-                   if (!d.GetVector(&wire)) {
-                     r.Send(Status::Internal("bad fetch"));
-                     return;
-                   }
-                   ShardReadResp resp;
-                   for (size_t i = 0; i < wire.size(); ++i) {
-                     const uint64_t o = offset + i;
-                     if (o - offset_base_ >= offset_pos_.size()) {
-                       break;
-                     }
-                     const LogPos pos = offset_pos_[o - offset_base_];
-                     if (pos >= stable) {
-                       break;
-                     }
-                     resp.records.push_back(PositionedRecord{pos, std::move(wire[i].rec)});
-                   }
-                   resp.stable_gp = stable_gp_;
-                   resp.durable_tail = std::max(durable_hint_, stable_gp_);
-                   Encoder e2;
-                   resp.Encode(e2);
-                   r.Ok(e2);
-                 },
-                 params_.rpc_timeout_ns);
-}
-
-void KafkaShardAdapter::HandleMultiRangeRead(Decoder d, Responder r) {
-  auto req = std::make_shared<ShardMultiRangeReadReq>();
-  if (!req->Decode(d)) {
-    r.Send(Status::InvalidArgument("bad multi-range read"));
-    return;
-  }
-  ServeNextRange(std::move(req), 0, std::make_shared<ShardMultiRangeReadResp>(),
-                 std::move(r));
-}
-
-void KafkaShardAdapter::ServeNextRange(std::shared_ptr<ShardMultiRangeReadReq> req, size_t i,
-                                       std::shared_ptr<ShardMultiRangeReadResp> resp,
-                                       Responder r) {
-  // Skip unstable/unknown range starts (count 0); the client re-issues those via the
-  // classic waiting read against this adapter.
+void KafkaShardAdapter::ServeNextRange(std::shared_ptr<ShardReadReq> req, size_t i,
+                                       std::shared_ptr<ShardReadResp> resp, Responder r) {
+  // Unstable/unknown range starts serve nothing (count 0); the client re-reads them.
   while (i < req->ranges.size() &&
          (req->ranges[i].pos >= stable_gp_ ||
           pos_to_offset_.find(req->ranges[i].pos) == pos_to_offset_.end())) {
@@ -509,21 +447,23 @@ void KafkaShardAdapter::ServeNextRange(std::shared_ptr<ShardMultiRangeReadReq> r
   endpoint_.Call(kafka_leader_, kKafkaFetch, e.Take(),
                  [this, req = std::move(req), i, resp, offset, stable, r](Status s,
                                                                           Decoder d) mutable {
-                   uint32_t served = 0;
                    std::vector<WireRecord> wire;
-                   if (s.ok() && d.GetVector(&wire)) {
-                     for (size_t k = 0; k < wire.size(); ++k) {
-                       const uint64_t o = offset + k;
-                       if (o - offset_base_ >= offset_pos_.size()) {
-                         break;
-                       }
-                       const LogPos pos = offset_pos_[o - offset_base_];
-                       if (pos >= stable) {
-                         break;
-                       }
-                       resp->records.push_back(PositionedRecord{pos, std::move(wire[k].rec)});
-                       ++served;
+                   if (!s.ok() || !d.GetVector(&wire)) {
+                     r.Send(s.ok() ? Status::Internal("bad fetch") : std::move(s));
+                     return;
+                   }
+                   uint32_t served = 0;
+                   for (size_t k = 0; k < wire.size(); ++k) {
+                     const uint64_t o = offset + k;
+                     if (o - offset_base_ >= offset_pos_.size()) {
+                       break;
                      }
+                     const LogPos pos = offset_pos_[o - offset_base_];
+                     if (pos >= stable) {
+                       break;
+                     }
+                     resp->records.push_back(PositionedRecord{pos, std::move(wire[k].rec)});
+                     ++served;
                    }
                    resp->counts.push_back(served);
                    ServeNextRange(std::move(req), i + 1, std::move(resp), std::move(r));
@@ -550,8 +490,9 @@ void KafkaShardAdapter::WakeWaiters() {
   auto waiters = std::move(waiters_);
   waiters_.clear();
   for (Waiter& w : waiters) {
-    if (w.req.pos < stable_gp_) {
-      ServeRead(w.req, std::move(w.responder));
+    if (w.req->ranges.front().pos < stable_gp_) {
+      ServeNextRange(std::move(w.req), 0, std::make_shared<ShardReadResp>(),
+                     std::move(w.responder));
     } else {
       waiters_.push_back(std::move(w));
     }

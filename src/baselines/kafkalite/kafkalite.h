@@ -113,7 +113,7 @@ class KafkaShardAdapter {
 
  private:
   struct Waiter {
-    ShardReadReq req;
+    std::shared_ptr<ShardReadReq> req;
     Responder responder;
   };
   // An ordering window awaiting its turn; the adapter applies windows strictly in
@@ -126,14 +126,12 @@ class KafkaShardAdapter {
 
   void HandleAppendBatch(Decoder d, Responder r);
   void HandleRead(Decoder d, Responder r);
-  void HandleMultiRangeRead(Decoder d, Responder r);
   void HandleSetStableGp(Decoder d, Responder r);
   void HandleTrim(Decoder d, Responder r);
-  void ServeRead(const ShardReadReq& req, Responder r);
-  // Serves ranges[i..] of a multi-range read one Kafka fetch at a time, accumulating
-  // into `resp`; unstable/unknown ranges are skipped (the client re-issues them).
-  void ServeNextRange(std::shared_ptr<ShardMultiRangeReadReq> req, size_t i,
-                      std::shared_ptr<ShardMultiRangeReadResp> resp, Responder r);
+  // Serves ranges[i..] of a read one Kafka fetch at a time, accumulating into `resp`;
+  // unstable/unknown ranges serve nothing (the client re-reads them).
+  void ServeNextRange(std::shared_ptr<ShardReadReq> req, size_t i,
+                      std::shared_ptr<ShardReadResp> resp, Responder r);
   void WakeWaiters();
   // Sends `s` plus a ShardOrderAckResp carrying the durable watermark — on every
   // outcome, so a retrying ordering cursor can resynchronize from any reply.

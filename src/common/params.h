@@ -141,21 +141,17 @@ struct KafkaParams {
 
 // Client read path (§5.3 read scale-out): replica routing, request coalescing,
 // and tail readahead. Stable reads (strictly below the client's cached stable-gp)
-// may be served by any replica of a shard because every replica gates ServeRead on
-// its own stable-gp broadcast; reads at/above stable still go to the primary, whose
-// waiter queue provides the wait-for-stability semantics.
+// may be served by any replica of a shard because every replica gates reads on its
+// own stable-gp broadcast; reads at/above stable still go to the primary, whose
+// waiter queue provides the wait-for-stability semantics. Concurrent same-replica
+// sub-reads issued at the same simulated instant are coalesced into one RPC.
 struct ClientReadParams {
-  // 0 = always primary (pinned baseline), 1 = legacy static client-modulo pin,
+  // 0 = always primary (pinned baseline),
   // 2 = load-aware power-of-two-choices over per-replica EWMA of observed read
   //     RTT plus server-piggybacked CPU queue depth (default).
   uint32_t read_routing_mode = 2;
   // EWMA smoothing for per-replica cost estimates fed by read replies.
   double route_ewma_alpha = 0.3;
-  // Aggregation window for coalescing concurrent same-shard read sub-requests into
-  // one multi-range RPC. 0 = coalesce only sub-requests issued at the same simulated
-  // instant (fan-out of a single Read call and exactly-concurrent callers), which
-  // adds zero latency; >0 buffers sub-requests for that long before flushing.
-  uint64_t read_coalesce_window_ns = 0;
   // Max records packed into one multi-range read RPC; larger ranges are split into
   // chunks issued as independent pipelined RPCs so shard-side response serialization
   // CPU overlaps NIC transmission of earlier chunks.

@@ -1,7 +1,7 @@
 // Client-side read scale-out machinery (§5.3, DESIGN.md §6): load-aware replica
 // routing, coalesced multi-range reads, and tail caching/readahead.
 //
-// The invariant that makes any of this safe: every shard replica gates ServeRead on its
+// The invariant that makes any of this safe: every shard replica gates reads on its
 // *own* stable-gp, learned from the orderer's broadcasts. A stable position has its
 // final, immutable binding on every replica that considers it stable, so a read of a
 // known-stable range may be served by ANY replica — the worst a lagging backup can do
@@ -32,43 +32,37 @@ namespace lazylog {
 
 // Load-aware replica selection: power-of-two-choices over a per-replica EWMA of
 // observed read cost (measured RTT plus the server-piggybacked CPU backlog), with an
-// in-flight penalty so a replica is not flooded between feedback samples. Modes 0/1
-// reproduce the old behaviours for A/B benches: always-primary and static
-// client-modulo pinning.
+// in-flight penalty so a replica is not flooded between feedback samples. Mode 0
+// (client_read.read_routing_mode) always picks the primary, the A/B baseline.
 class ReplicaRouter {
  public:
-  ReplicaRouter(const SimParams* params, Rng* rng, ClientId client_id, ReadPathStats* stats)
-      : params_(params), rng_(rng), client_id_(client_id), stats_(stats) {}
+  ReplicaRouter(const SimParams* params, Rng* rng, ReadPathStats* stats)
+      : params_(params), rng_(rng), stats_(stats) {}
 
   // Picks the serving replica for a known-stable read. `replicas[0]` is the primary.
   NodeId PickStable(const std::vector<NodeId>& replicas) {
     stats_->routed_reads++;
     NodeId picked = replicas[0];
-    if (replicas.size() > 1) {
-      switch (params_->client_read.read_routing_mode) {
-        case 0:
-          break;
-        case 1:
-          picked = replicas[client_id_ % replicas.size()];
-          break;
-        default: {
-          // Two distinct uniform choices; lower estimated cost wins. Randomness comes
-          // from the client's seeded rng so chaos replays stay deterministic.
-          const size_t a = rng_->Uniform(replicas.size());
-          size_t b = rng_->Uniform(replicas.size() - 1);
-          if (b >= a) {
-            ++b;
-          }
-          picked = Score(replicas[a]) <= Score(replicas[b]) ? replicas[a] : replicas[b];
-          break;
-        }
+    if (pinned_ >= 0) {
+      picked = replicas[static_cast<size_t>(pinned_) % replicas.size()];
+    } else if (replicas.size() > 1 && params_->client_read.read_routing_mode != 0) {
+      // Two distinct uniform choices; lower estimated cost wins. Randomness comes from
+      // the client's seeded rng so chaos replays stay deterministic.
+      const size_t a = rng_->Uniform(replicas.size());
+      size_t b = rng_->Uniform(replicas.size() - 1);
+      if (b >= a) {
+        ++b;
       }
+      picked = Score(replicas[a]) <= Score(replicas[b]) ? replicas[a] : replicas[b];
     }
     if (picked != replicas[0]) {
       stats_->backup_routed++;
     }
     return picked;
   }
+
+  // Test hook: every known-stable read goes to replica `index` of its shard.
+  void PinForTest(size_t index) { pinned_ = static_cast<int64_t>(index); }
 
   void OnIssue(NodeId n) { est_[n].inflight++; }
 
@@ -102,8 +96,8 @@ class ReplicaRouter {
 
   const SimParams* params_;
   Rng* rng_;
-  ClientId client_id_;
   ReadPathStats* stats_;
+  int64_t pinned_ = -1;  // replica index every stable read goes to; -1 = route
   std::unordered_map<NodeId, Estimate> est_;
 };
 
@@ -177,25 +171,27 @@ class ReadAheadCache {
   std::map<LogPos, PositionedRecord> entries_;
 };
 
-// Merges concurrent same-replica read sub-requests into batched multi-range RPCs.
+// Issues shard reads (kShardRead) for sub-reads and merges concurrent same-replica
+// subs into batched multi-range RPCs.
 //
 // A *sub* is one logical sub-read: a run of consecutive target-local records, expressed
 // as pre-split ReadRanges (the caller owns the position arithmetic — Erwin-st splits on
 // its cached posmap, Erwin-m on its stride — each range at most read_chunk_records
-// long). Subs added for the same target within the aggregation window flush as one or
-// more kShardMultiRangeRead RPCs of at most read_chunk_records each; issuing the chunks
-// as independent RPCs lets the shard's response-serialization CPU for chunk k overlap
-// the NIC transmission of chunk k-1 on large ranges.
+// long). Subs added for the same target in the same instant flush as one or more
+// non-waiting reads of at most read_chunk_records each; issuing the chunks as
+// independent RPCs lets the shard's response-serialization CPU for chunk k overlap the
+// NIC transmission of chunk k-1 on large ranges.
 //
-// The batched RPC never waits. A sub whose ranges come back clipped (the serving
-// replica's stable-gp trails the client's knowledge, or the replica is gone) is
-// re-issued in full to the shard primary via the classic waiting read and the results
-// are merged with per-position dedupe — wait semantics live entirely at the primary.
+// A sub whose ranges come back clipped from a routed read (the serving replica's
+// stable-gp trails the client's knowledge) is re-issued in full to the shard primary as
+// a waiting read, and the results are merged with per-position dedupe — wait semantics
+// live entirely at the primary. A waiting read is delivered as served: it parks only
+// until its first position is stable, so the caller re-reads anything it clipped.
 class ReadCoalescer {
  public:
   using SubCallback = std::function<void(Status, std::vector<PositionedRecord>)>;
-  // Fired for every read reply that carries a tail piggyback: (serving replica,
-  // advertised stable-gp, records). The chaos read-staleness oracle subscribes.
+  // Fired for every read reply: (serving replica, advertised stable-gp, records). The
+  // chaos read-staleness oracle subscribes.
   using ReplyObserver =
       std::function<void(NodeId, LogPos, const std::vector<PositionedRecord>&)>;
 
@@ -205,67 +201,34 @@ class ReadCoalescer {
 
   void SetReplyObserver(ReplyObserver obs) { observer_ = std::move(obs); }
 
-  // Enqueues one sub-read routed to `target`; `primary` serves the waiting fallback.
-  // `ranges` must be non-empty, in ascending order, and describe one consecutive run of
-  // target-local records (so the primary fallback can re-read the whole sub as
-  // (first pos, total len)).
+  // Enqueues one known-stable sub-read routed to `target`; `primary` serves the waiting
+  // fallback. `ranges` must be non-empty, in ascending order, and describe one
+  // consecutive run of target-local records.
   void Add(NodeId target, NodeId primary, std::vector<ReadRange> ranges, SubCallback cb) {
-    auto sub = std::make_shared<Sub>();
-    sub->pos = ranges.front().pos;
-    for (const ReadRange& range : ranges) {
-      sub->len += range.len;
-    }
-    sub->ranges = std::move(ranges);
-    sub->primary = primary;
-    sub->cb = std::move(cb);
+    auto sub = MakeSub(primary, std::move(ranges), std::move(cb));
     stats_->coalesced_subs++;
     auto& q = pending_[target];
     q.push_back(std::move(sub));
     if (q.size() == 1) {
-      ep_->loop()->Schedule(params_->client_read.read_coalesce_window_ns,
-                            [this, target]() { Flush(target); });
+      ep_->loop()->Schedule(0, [this, target]() { Flush(target); });
     }
   }
 
-  // Classic single-range read against one replica (the waiting primary path and the
-  // clipped-sub fallback). Feeds the router and tail cache from the reply piggyback
-  // like the batched path does.
-  void ClassicRead(NodeId target, LogPos pos, uint32_t len, bool nowait, SubCallback cb) {
-    ShardReadReq req{pos, len, nowait};
-    stats_->primary_reads++;
-    router_->OnIssue(target);
-    const SimTime t0 = ep_->loop()->Now();
-    ep_->CallMsg(target, kShardRead, req,
-                 [this, target, t0, cb = std::move(cb)](Status s, Decoder d) {
-                   std::vector<PositionedRecord> recs;
-                   if (s.ok()) {
-                     ShardReadResp resp;
-                     if (resp.Decode(d)) {
-                       NoteReply(target, t0, resp.stable_gp, resp.durable_tail,
-                                 resp.queue_ns, resp.records);
-                       recs = std::move(resp.records);
-                     } else {
-                       s = Status::Internal("bad read response");
-                       router_->OnReply(target, ep_->loop()->Now() - t0, 0);
-                     }
-                   } else {
-                     router_->OnReply(target, ep_->loop()->Now() - t0, 0);
-                   }
-                   cb(std::move(s), std::move(recs));
-                 },
-                 params_->rpc_timeout_ns);
+  // Waiting read of one sub at the shard primary (reads at or above the client's known
+  // stable tail). Feeds the router and tail cache from the reply like routed reads do.
+  void WaitRead(NodeId primary, std::vector<ReadRange> ranges, SubCallback cb) {
+    IssueWait(MakeSub(primary, std::move(ranges), std::move(cb)));
   }
 
  private:
   struct Sub {
-    LogPos pos = 0;     // first position of the run
-    uint32_t len = 0;   // total records across all ranges
     NodeId primary = kInvalidNode;
     std::vector<ReadRange> ranges;
     SubCallback cb;
-    uint32_t outstanding = 0;  // chunk RPCs not yet replied
+    uint32_t outstanding = 0;  // RPCs not yet replied
     bool clipped = false;
-    bool failed = false;
+    bool waited = false;       // the waiting read at the primary was issued
+    Status failure;            // set by a failed RPC; surfaces to the caller
     std::vector<PositionedRecord> got;
   };
   // One range of one sub inside one RPC.
@@ -273,6 +236,15 @@ class ReadCoalescer {
     std::shared_ptr<Sub> sub;
     ReadRange range;
   };
+
+  static std::shared_ptr<Sub> MakeSub(NodeId primary, std::vector<ReadRange> ranges,
+                                      SubCallback cb) {
+    auto sub = std::make_shared<Sub>();
+    sub->primary = primary;
+    sub->ranges = std::move(ranges);
+    sub->cb = std::move(cb);
+    return sub;
+  }
 
   void Flush(NodeId target) {
     auto it = pending_.find(target);
@@ -301,26 +273,38 @@ class ReadCoalescer {
       stats_->chunk_rpcs += rpcs.size() - 1;
     }
     for (auto& pieces : rpcs) {
-      IssueRpc(target, std::move(pieces));
+      IssueRpc(target, std::move(pieces), /*wait=*/false);
     }
   }
 
-  void IssueRpc(NodeId target, std::vector<Piece> pieces) {
-    ShardMultiRangeReadReq req;
+  void IssueWait(const std::shared_ptr<Sub>& sub) {
+    stats_->primary_reads++;
+    sub->waited = true;
+    sub->outstanding = 1;
+    std::vector<Piece> pieces;
+    pieces.reserve(sub->ranges.size());
+    for (const ReadRange& range : sub->ranges) {
+      pieces.push_back(Piece{sub, range});
+    }
+    IssueRpc(sub->primary, std::move(pieces), /*wait=*/true);
+  }
+
+  void IssueRpc(NodeId target, std::vector<Piece> pieces, bool wait) {
+    ShardReadReq req;
     req.ranges.reserve(pieces.size());
     for (const Piece& p : pieces) {
       req.ranges.push_back(p.range);
     }
+    req.wait = wait;
     router_->OnIssue(target);
     const SimTime t0 = ep_->loop()->Now();
     ep_->CallMsg(
-        target, kShardMultiRangeRead, req,
+        target, kShardRead, req,
         [this, target, t0, pieces = std::move(pieces)](Status s, Decoder d) mutable {
-          ShardMultiRangeReadResp resp;
+          ShardReadResp resp;
           const bool ok = s.ok() && resp.Decode(d) && resp.counts.size() == pieces.size();
           if (ok) {
-            NoteReply(target, t0, resp.stable_gp, resp.durable_tail, resp.queue_ns,
-                      resp.records);
+            NoteReply(target, t0, resp);
             size_t idx = 0;
             for (size_t i = 0; i < pieces.size(); ++i) {
               Piece& p = pieces[i];
@@ -337,7 +321,7 @@ class ReadCoalescer {
           } else {
             router_->OnReply(target, ep_->loop()->Now() - t0, 0);
             for (Piece& p : pieces) {
-              p.sub->failed = true;
+              p.sub->failure = s.ok() ? Status::Internal("bad read response") : s;
             }
           }
           for (Piece& p : pieces) {
@@ -350,33 +334,22 @@ class ReadCoalescer {
   }
 
   void FinishSub(const std::shared_ptr<Sub>& sub) {
-    if (sub->failed) {
+    if (!sub->failure.ok()) {
       // An outright RPC failure (dead or replaced replica) surfaces to the caller: its
       // retry ladder refreshes the shard membership before retrying, which a silent
       // primary fallback would never trigger.
-      sub->cb(Status::Timeout("routed read failed"), {});
+      sub->cb(std::move(sub->failure), {});
       return;
     }
-    if (!sub->clipped) {
+    if (!sub->clipped || sub->waited) {
       Deliver(sub);
       return;
     }
     // The serving replica clipped the run: its stable-gp trails what the client knows.
-    // Re-issue the whole sub to the primary via the classic waiting read;
-    // already-fetched records are deduped at merge. A failure here surfaces to the
-    // caller, whose retry ladder re-resolves the shard config.
+    // Re-issue the whole sub to the primary as a waiting read; already-fetched records
+    // are deduped at merge.
     stats_->clipped_resends++;
-    ClassicRead(sub->primary, sub->pos, sub->len, /*nowait=*/false,
-                [this, sub](Status s, std::vector<PositionedRecord> recs) {
-                  if (!s.ok()) {
-                    sub->cb(std::move(s), {});
-                    return;
-                  }
-                  for (PositionedRecord& pr : recs) {
-                    sub->got.push_back(std::move(pr));
-                  }
-                  Deliver(sub);
-                });
+    IssueWait(sub);
   }
 
   void Deliver(const std::shared_ptr<Sub>& sub) {
@@ -392,13 +365,12 @@ class ReadCoalescer {
     sub->cb(Status::Ok(), std::move(sub->got));
   }
 
-  void NoteReply(NodeId target, SimTime t0, LogPos stable, LogPos durable,
-                 uint64_t queue_ns, const std::vector<PositionedRecord>& records) {
+  void NoteReply(NodeId target, SimTime t0, const ShardReadResp& resp) {
     const SimTime now = ep_->loop()->Now();
-    router_->OnReply(target, now - t0, queue_ns);
-    tails_->Note(now, durable, stable);
+    router_->OnReply(target, now - t0, resp.queue_ns);
+    tails_->Note(now, resp.durable_tail, resp.stable_gp);
     if (observer_) {
-      observer_(target, stable, records);
+      observer_(target, resp.stable_gp, resp.records);
     }
   }
 

@@ -65,47 +65,8 @@ struct ShardOrderAckResp {
   bool Decode(Decoder& d) { return d.GetU64(&applied_upto); }
 };
 
-// Client read request. `pos` is a global log position; the shard gates the response on
-// stable-gp (slow path waits). `nowait` makes the shard answer OUT_OF_RANGE instead of
-// waiting (used by tests and by readers that poll).
-struct ShardReadReq {
-  LogPos pos = 0;
-  uint32_t len = 1;  // max records to return (all on this shard, ascending positions)
-  bool nowait = false;
-
-  void Encode(Encoder& e) const {
-    e.PutU64(pos);
-    e.PutU32(len);
-    e.PutBool(nowait);
-  }
-  bool Decode(Decoder& d) { return d.GetU64(&pos) && d.GetU32(&len) && d.GetBool(&nowait); }
-};
-
-// Read reply. Besides the records, every reply piggybacks the serving replica's view
-// of the log tail (stable_gp count-semantics stable frontier, durable_tail learned from
-// the orderer's broadcasts) so tail pollers can skip a CheckTail round trip, plus the
-// replica's current CPU queue depth in nanoseconds, which feeds the client-side
-// load-aware replica router.
-struct ShardReadResp {
-  std::vector<PositionedRecord> records;
-  LogPos stable_gp = 0;      // serving replica's stable frontier at reply time
-  LogPos durable_tail = 0;   // serving replica's last-heard durable tail (may lag)
-  uint64_t queue_ns = 0;     // serving replica's CPU backlog when the request was handled
-
-  void Encode(Encoder& e) const {
-    e.PutVector(records);
-    e.PutU64(stable_gp);
-    e.PutU64(durable_tail);
-    e.PutU64(queue_ns);
-  }
-  bool Decode(Decoder& d) {
-    return d.GetVector(&records) && d.GetU64(&stable_gp) && d.GetU64(&durable_tail) &&
-           d.GetU64(&queue_ns);
-  }
-};
-
 // One contiguous read sub-range: up to `len` consecutive records *local to the target
-// shard* starting at global position `pos` (same walk the server does for ShardReadReq).
+// shard* starting at global position `pos`.
 struct ReadRange {
   static constexpr size_t kMinEncodedSize = 12;  // pos + len
   LogPos pos = 0;
@@ -118,28 +79,35 @@ struct ReadRange {
   bool Decode(Decoder& d) { return d.GetU64(&pos) && d.GetU32(&len); }
 };
 
-// Client -> shard server: coalesced multi-range read. Serves every range in one
-// request-handling pass and never waits: sub-ranges that start at/above the serving
-// replica's stable-gp (or at a trimmed/foreign position) are clipped or omitted, and
-// the client re-issues the remainder to the primary via the classic waiting read.
-// Response is a ShardReadResp with the union of all served ranges.
-struct ShardMultiRangeReadReq {
+// Client -> any shard replica: the one read verb. Each range is walked in request
+// order and clipped at the serving replica's stable-gp; a range starting at a trimmed,
+// foreign or unstable position serves nothing. With `wait` the replica holds the
+// request until the first range's start is stable (§4.4 slow path) and refuses a
+// trimmed start with OUT_OF_RANGE; without it the reply is immediate and may be short.
+struct ShardReadReq {
   std::vector<ReadRange> ranges;
+  bool wait = false;
 
-  void Encode(Encoder& e) const { e.PutVector(ranges); }
-  bool Decode(Decoder& d) { return d.GetVector(&ranges); }
+  void Encode(Encoder& e) const {
+    e.PutVector(ranges);
+    e.PutBool(wait);
+  }
+  bool Decode(Decoder& d) { return d.GetVector(&ranges) && d.GetBool(&wait); }
 };
 
-// Reply to a multi-range read: `records` is the concatenation of the per-range record
-// runs in request order, and `counts[i]` says how many of them belong to range i — the
-// partition is explicit because ranges from different callers may overlap or abut.
-// Carries the same tail/queue piggyback as ShardReadResp.
-struct ShardMultiRangeReadResp {
+// Read reply: `records` is the concatenation of the per-range record runs in request
+// order, and `counts[i]` says how many of them belong to range i — the partition is
+// explicit because ranges from different callers may overlap or abut. Every reply also
+// piggybacks the serving replica's view of the log tail (count-semantics stable
+// frontier, durable tail learned from the orderer's broadcasts) so tail pollers can
+// skip a CheckTail round trip, and its CPU queue depth, which feeds the client-side
+// load-aware replica router.
+struct ShardReadResp {
   std::vector<uint32_t> counts;
   std::vector<PositionedRecord> records;
-  LogPos stable_gp = 0;
-  LogPos durable_tail = 0;
-  uint64_t queue_ns = 0;
+  LogPos stable_gp = 0;     // serving replica's stable frontier at reply time
+  LogPos durable_tail = 0;  // serving replica's last-heard durable tail (may lag)
+  uint64_t queue_ns = 0;    // serving replica's CPU backlog when the request was handled
 
   void Encode(Encoder& e) const {
     e.PutU32(static_cast<uint32_t>(counts.size()));
@@ -153,10 +121,10 @@ struct ShardMultiRangeReadResp {
   }
   bool Decode(Decoder& d) {
     uint32_t n = 0;
-    if (!d.GetU32(&n)) {
+    if (!d.GetU32(&n) || static_cast<size_t>(n) * sizeof(uint32_t) > d.Remaining()) {
       return false;
     }
-    counts.assign(n, 0);
+    counts.resize(n);
     for (uint32_t i = 0; i < n; ++i) {
       if (!d.GetU32(&counts[i])) {
         return false;
@@ -327,16 +295,6 @@ struct ShardIndexDeltaResp {
     return d.GetU64(&from_seq) && d.GetU64(&next_seq) && d.GetU64(&stable_gp) &&
            d.GetU64(&exported_below) && d.GetVector(&entries);
   }
-};
-
-// Client -> shard server: read a sparse batch of global positions (all owned by this
-// shard). Unlike ShardReadReq this never waits: positions at or above stable-gp are
-// simply omitted from the response. Used by selective readers after an index lookup.
-struct ShardMultiReadReq {
-  std::vector<uint64_t> positions;
-
-  void Encode(Encoder& e) const { e.PutU64Vector(positions); }
-  bool Decode(Decoder& d) { return d.GetU64Vector(&positions); }
 };
 
 // Orderer/controller -> shard server: advance the stable global position. `stable_gp`

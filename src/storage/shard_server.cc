@@ -138,12 +138,6 @@ ShardServer::ShardServer(Network* net, const SimParams& params, ShardMode mode,
   endpoint_.Register(kShardIndexDelta, [this](NodeId, Decoder d, Responder r) {
     HandleIndexDelta(d, std::move(r));
   });
-  endpoint_.Register(kShardMultiRead, [this](NodeId, Decoder d, Responder r) {
-    HandleMultiRead(d, std::move(r));
-  });
-  endpoint_.Register(kShardMultiRangeRead, [this](NodeId, Decoder d, Responder r) {
-    HandleMultiRangeRead(d, std::move(r));
-  });
   endpoint_.Register(kShardTrim, [this](NodeId, Decoder d, Responder r) {
     HandleTrim(d, std::move(r));
   });
@@ -780,54 +774,65 @@ void ShardServer::HandleReplicateNoOp(NodeId from, Decoder d, Responder r) {
 
 void ShardServer::HandleRead(Decoder d, Responder r) {
   ShardReadReq req;
-  if (!req.Decode(d)) {
+  if (!req.Decode(d) || req.ranges.empty()) {
     r.Send(Status::InvalidArgument("bad read"));
     return;
   }
-  if (req.pos < trimmed_below_) {
-    r.Send(Status::OutOfRange("position trimmed"));
-    return;
-  }
-  if (req.pos >= stable_gp_ && !read_gate_disabled_) {
-    if (req.nowait) {
-      r.Send(Status::OutOfRange("position not stable yet"));
+  if (req.wait) {
+    const LogPos first = req.ranges.front().pos;
+    if (first < trimmed_below_) {
+      r.Send(Status::OutOfRange("position trimmed"));
       return;
     }
-    // Slow path (§4.4): hold the read until stable-gp passes the requested position.
-    stats_.slow_reads++;
-    waiters_.push_back(Waiter{req, std::move(r)});
-    return;
+    if (first >= stable_gp_ && !read_gate_disabled_) {
+      // Slow path (§4.4): hold the read until stable-gp passes its first position.
+      stats_.slow_reads++;
+      waiters_.push_back(Waiter{std::move(req), std::move(r)});
+      return;
+    }
   }
   stats_.fast_reads++;
   ServeRead(req, std::move(r));
 }
 
 void ShardServer::ServeRead(const ShardReadReq& req, Responder r) {
-  auto it = pos_to_local_.find(req.pos);
-  if (it == pos_to_local_.end()) {
-    r.Send(Status::Internal("stable position not on this shard"));
-    return;
-  }
   if (!is_primary()) {
     stats_.backup_reads++;
   }
+  if (!req.wait) {
+    stats_.multirange_reads++;
+  }
+  // Each range walks the shard-local log from its start, stopping at this replica's
+  // stable frontier; a range starting at a trimmed, foreign or unstable position serves
+  // nothing. The client re-reads whatever came back short.
   ShardReadResp resp;
-  uint64_t local = it->second;
+  resp.counts.reserve(req.ranges.size());
   uint64_t bytes = 0;
-  for (uint32_t i = 0; i < req.len; ++i, ++local) {
-    if (local >= log_.end_index() || local - local_pos_base_ >= local_pos_.size()) {
-      break;
+  for (const ReadRange& range : req.ranges) {
+    uint32_t served = 0;
+    auto it = pos_to_local_.find(range.pos);
+    if (it != pos_to_local_.end() && range.pos >= trimmed_below_) {
+      uint64_t local = it->second;
+      for (; served < range.len; ++served, ++local) {
+        if (local >= log_.end_index() || local - local_pos_base_ >= local_pos_.size()) {
+          break;
+        }
+        const LogPos pos = local_pos_[local - local_pos_base_];
+        if (pos >= stable_gp_ && !read_gate_disabled_) {
+          break;
+        }
+        const Record* rec = log_.Get(local);
+        if (rec == nullptr) {
+          break;
+        }
+        resp.records.push_back(PositionedRecord{pos, *rec});
+        bytes += rec->payload.size();
+      }
     }
-    const LogPos pos = local_pos_[local - local_pos_base_];
-    if (pos >= stable_gp_ && !read_gate_disabled_) {
-      break;
+    resp.counts.push_back(served);
+    if (served < range.len) {
+      stats_.multirange_ranges_clipped++;
     }
-    const Record* rec = log_.Get(local);
-    if (rec == nullptr) {
-      break;
-    }
-    resp.records.push_back(PositionedRecord{pos, *rec});
-    bytes += rec->payload.size();
   }
   FillReadPiggyback(&resp);
   cpu_.ExecuteFor(bytes, [resp = std::move(resp), r]() mutable {
@@ -872,9 +877,10 @@ void ShardServer::WakeWaiters() {
   auto waiters = std::move(waiters_);
   waiters_.clear();
   for (Waiter& w : waiters) {
-    if (w.req.pos < trimmed_below_) {
+    const LogPos first = w.req.ranges.front().pos;
+    if (first < trimmed_below_) {
       w.responder.Send(Status::OutOfRange("position trimmed"));
-    } else if (w.req.pos < stable_gp_) {
+    } else if (first < stable_gp_) {
       ServeRead(w.req, std::move(w.responder));
     } else {
       still_waiting.push_back(std::move(w));
@@ -963,100 +969,6 @@ void ShardServer::HandleIndexDelta(Decoder d, Responder r) {
                     resp.Encode(e);
                     r.Ok(e);
                   });
-}
-
-void ShardServer::HandleMultiRead(Decoder d, Responder r) {
-  ShardMultiReadReq req;
-  if (!req.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad multi read"));
-    return;
-  }
-  // Never waits: unstable / trimmed / foreign positions are silently omitted, the
-  // selective reader already knows what is stable from the index node's frontier.
-  ShardReadResp resp;
-  uint64_t bytes = 0;
-  for (uint64_t p : req.positions) {
-    if (p < trimmed_below_ || (p >= stable_gp_ && !read_gate_disabled_)) {
-      continue;
-    }
-    auto it = pos_to_local_.find(p);
-    if (it == pos_to_local_.end()) {
-      continue;
-    }
-    const Record* rec = log_.Get(it->second);
-    if (rec == nullptr) {
-      continue;
-    }
-    resp.records.push_back(PositionedRecord{p, *rec});
-    bytes += rec->payload.size();
-  }
-  stats_.fast_reads++;
-  if (!is_primary()) {
-    stats_.backup_reads++;
-  }
-  FillReadPiggyback(&resp);
-  cpu_.ExecuteFor(bytes, [resp = std::move(resp), r]() mutable {
-    Encoder e;
-    resp.Encode(e);
-    r.Ok(e);
-  });
-}
-
-void ShardServer::HandleMultiRangeRead(Decoder d, Responder r) {
-  ShardMultiRangeReadReq req;
-  if (!req.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad multi-range read"));
-    return;
-  }
-  // Never waits: each range is walked exactly like ShardReadReq but clipped at this
-  // replica's stable frontier (or a trimmed/foreign start position). The client detects
-  // short ranges and re-issues the remainder to the primary via the classic waiting
-  // read, so wait semantics live entirely at the primary.
-  ShardMultiRangeReadResp resp;
-  uint64_t bytes = 0;
-  for (const ReadRange& range : req.ranges) {
-    uint32_t served = 0;
-    auto it = pos_to_local_.find(range.pos);
-    if (it != pos_to_local_.end() && range.pos >= trimmed_below_ &&
-        (range.pos < stable_gp_ || read_gate_disabled_)) {
-      uint64_t local = it->second;
-      for (uint32_t i = 0; i < range.len; ++i, ++local) {
-        if (local >= log_.end_index() || local - local_pos_base_ >= local_pos_.size()) {
-          break;
-        }
-        const LogPos pos = local_pos_[local - local_pos_base_];
-        if (pos >= stable_gp_ && !read_gate_disabled_) {
-          break;
-        }
-        const Record* rec = log_.Get(local);
-        if (rec == nullptr) {
-          break;
-        }
-        resp.records.push_back(PositionedRecord{pos, *rec});
-        bytes += rec->payload.size();
-        ++served;
-      }
-    }
-    resp.counts.push_back(served);
-    if (served < range.len) {
-      stats_.multirange_ranges_clipped++;
-    }
-  }
-  stats_.fast_reads++;
-  stats_.multirange_reads++;
-  if (!is_primary()) {
-    stats_.backup_reads++;
-  }
-  ShardReadResp piggy;
-  FillReadPiggyback(&piggy);
-  resp.stable_gp = piggy.stable_gp;
-  resp.durable_tail = piggy.durable_tail;
-  resp.queue_ns = piggy.queue_ns;
-  cpu_.ExecuteFor(bytes, [resp = std::move(resp), r]() mutable {
-    Encoder e;
-    resp.Encode(e);
-    r.Ok(e);
-  });
 }
 
 void ShardServer::HandleTrim(Decoder d, Responder r) {

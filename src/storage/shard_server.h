@@ -35,8 +35,8 @@ struct ShardStats {
   uint64_t fast_reads = 0;      // served immediately (pos <= stable-gp)
   uint64_t slow_reads = 0;      // had to wait for stable-gp to advance
   uint64_t backup_reads = 0;    // reads served while not the shard primary
-  uint64_t multirange_reads = 0;          // coalesced multi-range read RPCs served
-  uint64_t multirange_ranges_clipped = 0; // sub-ranges clipped/omitted (client re-issues)
+  uint64_t multirange_reads = 0;          // non-waiting reads served (routed, index)
+  uint64_t multirange_ranges_clipped = 0; // ranges served short (the client re-reads)
   uint64_t noops_created = 0;   // Erwin-st missing-data resolutions
   uint64_t rejected_puts = 0;   // late data after no-op
   uint64_t windows_applied = 0; // ordering windows applied in span order
@@ -160,7 +160,7 @@ class ShardServer {
   // Handlers.
   void HandleAppendBatch(Decoder d, Responder r);   // orderer -> primary (Erwin-m)
   void HandleReplicate(NodeId from, Decoder d, Responder r);  // primary -> backup
-  void HandleRead(Decoder d, Responder r);
+  void HandleRead(Decoder d, Responder r);          // the one read verb (ShardReadReq)
   void HandleSetStableGp(Decoder d, Responder r);
   void HandlePutData(Decoder d, Responder r);       // client -> replica (Erwin-st)
   void HandleOrderMeta(Decoder d, Responder r);     // orderer -> primary (Erwin-st)
@@ -168,8 +168,6 @@ class ShardServer {
   void HandleReplicateNoOp(NodeId from, Decoder d, Responder r);  // primary -> backup
   void HandlePosMap(Decoder d, Responder r);
   void HandleIndexDelta(Decoder d, Responder r);  // index node -> primary: tag index pull
-  void HandleMultiRead(Decoder d, Responder r);   // client sparse position batch read
-  void HandleMultiRangeRead(Decoder d, Responder r);  // coalesced multi-range read
   void HandleTrim(Decoder d, Responder r);
   void HandleFetchState(Decoder d, Responder r);
   void HandleSeal(Decoder d, Responder r);        // controller -> shard: fence the epoch

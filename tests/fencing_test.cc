@@ -218,12 +218,12 @@ TEST(Fencing, InFlightAppendsSurviveViewChangeExactlyOnce) {
 
 TEST(Fencing, ShardReplacementFlowsThroughControlPlaneToClients) {
   ErwinClusterOptions copts = MOptions(13);
-  // Legacy client-modulo routing: this test is specifically about the one replica the
-  // client's reads are pinned to, so the load-aware router must not pick around it.
-  copts.params.client_read.read_routing_mode = 1;
   ErwinCluster c(copts);
-  auto client = c.MakeMClient();  // client_id 1: reads replica index 1 % 3 of each shard
+  auto client = c.MakeMClient();  // client_id 1
   ASSERT_EQ(client->client_id() % copts.shard_replication, 1u);
+  // This test is specifically about the one replica the client's reads are pinned to,
+  // so the load-aware router must not pick around it.
+  client->PinReadReplicaForTest(1);
 
   std::vector<std::string> payloads;
   for (int i = 0; i < 6; ++i) {

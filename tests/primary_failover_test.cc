@@ -278,12 +278,12 @@ TEST(PrimaryFailover, StaleViewMultiRangeReadReResolvesShardConfig) {
   // client's retry ladder (not be silently absorbed), so the stale client refreshes
   // "/shards/config" and finishes the read against the new membership.
   ErwinClusterOptions opts = Options(ErwinMode::kSt);
-  // Pin routing to replica client_id % 3 so the read deterministically targets the
-  // replica this test replaces (same scheme as the fencing test, st multi-range path).
-  opts.params.client_read.read_routing_mode = 1;
   ErwinCluster cluster(opts);
   auto client = cluster.MakeStClient();
   ASSERT_EQ(client->client_id() % cluster.shard_replication(), 1u);
+  // Pin routed reads to replica 1 so the read deterministically targets the replica
+  // this test replaces (same scheme as the fencing test, st multi-range path).
+  client->PinReadReplicaForTest(1);
   constexpr uint64_t kN = 12;
   for (uint64_t i = 0; i < kN; ++i) {
     ASSERT_TRUE(AppendSyncly(cluster.loop(), *client, "sv-" + std::to_string(i)));

@@ -1,8 +1,9 @@
 // Read scale-out tests (DESIGN.md read path): load-aware replica routing (p2c over
 // per-replica EWMA), coalesced multi-range reads with chunking, the tail cache fed by
 // reply piggybacks, sequential readahead, and the posmap prefetch knob. Unit tests
-// cover the router/caches/codecs in isolation; the cluster tests assert the end-to-end
-// counters and that routed reads return exactly the pinned-path results.
+// cover the router and caches in isolation (the read verb's codec is in codec_test);
+// the cluster tests assert the end-to-end counters and that routed reads return
+// exactly the pinned-path results.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -17,71 +18,6 @@
 namespace lazylog {
 namespace {
 
-// --- codec round trips ----------------------------------------------------------------
-
-TEST(MultiRangeCodec, RequestRoundTrip) {
-  ShardMultiRangeReadReq req;
-  req.ranges.push_back(ReadRange{0, 4});
-  req.ranges.push_back(ReadRange{17, 1});
-  req.ranges.push_back(ReadRange{1000000, 256});
-  Encoder e;
-  req.Encode(e);
-  Decoder d(e.data());
-  ShardMultiRangeReadReq back;
-  ASSERT_TRUE(back.Decode(d));
-  ASSERT_EQ(back.ranges.size(), 3u);
-  EXPECT_EQ(back.ranges[0].pos, 0u);
-  EXPECT_EQ(back.ranges[0].len, 4u);
-  EXPECT_EQ(back.ranges[2].pos, 1000000u);
-  EXPECT_EQ(back.ranges[2].len, 256u);
-  EXPECT_TRUE(d.Done());
-}
-
-TEST(MultiRangeCodec, ResponseRoundTripWithPiggyback) {
-  ShardMultiRangeReadResp resp;
-  resp.counts = {2, 0, 1};
-  for (LogPos p : {5u, 6u, 40u}) {
-    PositionedRecord rec;
-    rec.pos = p;
-    rec.record.payload = Buf("payload-" + std::to_string(p));
-    resp.records.push_back(std::move(rec));
-  }
-  resp.stable_gp = 41;
-  resp.durable_tail = 44;
-  resp.queue_ns = 12345;
-  Encoder e;
-  resp.Encode(e);
-  // Record payloads ride as attachments, so the decoder needs the attachment list.
-  Decoder d(e.TakeBuf(), e.TakeAtts());
-  ShardMultiRangeReadResp back;
-  ASSERT_TRUE(back.Decode(d));
-  EXPECT_EQ(back.counts, (std::vector<uint32_t>{2, 0, 1}));
-  ASSERT_EQ(back.records.size(), 3u);
-  EXPECT_EQ(back.records[2].pos, 40u);
-  EXPECT_EQ(back.records[2].record.payload.ToString(), "payload-40");
-  EXPECT_EQ(back.stable_gp, 41u);
-  EXPECT_EQ(back.durable_tail, 44u);
-  EXPECT_EQ(back.queue_ns, 12345u);
-  EXPECT_TRUE(d.Done());
-}
-
-TEST(MultiRangeCodec, TruncatedResponseFailsCleanly) {
-  ShardMultiRangeReadResp resp;
-  resp.counts = {1};
-  PositionedRecord rec;
-  rec.pos = 3;
-  rec.record.payload = Buf("x");
-  resp.records.push_back(std::move(rec));
-  Encoder e;
-  resp.Encode(e);
-  Buf full = e.data();
-  for (size_t cut = 0; cut < full.size(); ++cut) {
-    Decoder d(Buf(full.ToString().substr(0, cut)));
-    ShardMultiRangeReadResp back;
-    EXPECT_FALSE(back.Decode(d)) << "decoded from a " << cut << "-byte prefix";
-  }
-}
-
 // --- ReplicaRouter --------------------------------------------------------------------
 
 TEST(ReplicaRouter, ModeZeroAlwaysPicksPrimary) {
@@ -89,7 +25,7 @@ TEST(ReplicaRouter, ModeZeroAlwaysPicksPrimary) {
   params.client_read.read_routing_mode = 0;
   Rng rng(7);
   ReadPathStats stats;
-  ReplicaRouter router(&params, &rng, /*client_id=*/3, &stats);
+  ReplicaRouter router(&params, &rng, &stats);
   const std::vector<NodeId> replicas = {10, 11, 12};
   for (int i = 0; i < 32; ++i) {
     EXPECT_EQ(router.PickStable(replicas), 10u);
@@ -98,24 +34,11 @@ TEST(ReplicaRouter, ModeZeroAlwaysPicksPrimary) {
   EXPECT_EQ(stats.backup_routed, 0u);
 }
 
-TEST(ReplicaRouter, ModeOneIsClientModuloPin) {
-  SimParams params;
-  params.client_read.read_routing_mode = 1;
-  Rng rng(7);
-  ReadPathStats stats;
-  ReplicaRouter router(&params, &rng, /*client_id=*/4, &stats);
-  const std::vector<NodeId> replicas = {10, 11, 12};
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(router.PickStable(replicas), 11u);  // 4 % 3 == 1
-  }
-  EXPECT_EQ(stats.backup_routed, 16u);
-}
-
 TEST(ReplicaRouter, PowerOfTwoChoicesSpreadsAcrossReplicas) {
   SimParams params;  // mode 2 default
   Rng rng(42);
   ReadPathStats stats;
-  ReplicaRouter router(&params, &rng, /*client_id=*/1, &stats);
+  ReplicaRouter router(&params, &rng, &stats);
   const std::vector<NodeId> replicas = {10, 11, 12};
   std::map<NodeId, int> picks;
   for (int i = 0; i < 300; ++i) {
@@ -138,7 +61,7 @@ TEST(ReplicaRouter, AvoidsSlowReplicaAfterFeedback) {
   SimParams params;
   Rng rng(9);
   ReadPathStats stats;
-  ReplicaRouter router(&params, &rng, /*client_id=*/1, &stats);
+  ReplicaRouter router(&params, &rng, &stats);
   const std::vector<NodeId> replicas = {10, 11};
   // Teach the router: replica 11 is 50x slower than replica 10.
   for (int i = 0; i < 8; ++i) {
@@ -167,7 +90,7 @@ TEST(ReplicaRouter, InflightPenaltyShedsLoad) {
   SimParams params;
   Rng rng(3);
   ReadPathStats stats;
-  ReplicaRouter router(&params, &rng, /*client_id=*/1, &stats);
+  ReplicaRouter router(&params, &rng, &stats);
   // Equal EWMAs, but replica 10 has a pile of our own unanswered reads.
   for (NodeId n : {10u, 11u}) {
     router.OnIssue(n);

@@ -88,20 +88,30 @@ class ShardHarness {
     loop_.RunUntil(loop_.Now() + 1 * kMs);
   }
 
-  // Read via the wire; returns nullopt on error.
-  std::optional<std::vector<PositionedRecord>> Read(LogPos pos, uint32_t len, bool nowait,
-                                                    size_t replica = 0,
+  // One-range read via the wire; returns nullopt on error. Without `wait` the replica
+  // answers at once with whatever part of the range is stable.
+  std::optional<std::vector<PositionedRecord>> Read(LogPos pos, uint32_t len,
+                                                    bool wait = false,
                                                     uint64_t budget_ns = kSec) {
-    ShardReadReq req{pos, len, nowait};
-    std::optional<std::vector<PositionedRecord>> out;
+    std::optional<ShardReadResp> resp = ReadRanges({ReadRange{pos, len}}, wait, budget_ns);
+    if (!resp) {
+      return std::nullopt;
+    }
+    return std::move(resp->records);
+  }
+
+  // Multi-range read of the primary; nullopt on error or while still parked when the
+  // budget runs out.
+  std::optional<ShardReadResp> ReadRanges(std::vector<ReadRange> ranges, bool wait,
+                                          uint64_t budget_ns = kSec) {
+    ShardReadReq req{std::move(ranges), wait};
+    std::optional<ShardReadResp> out;
     bool done = false;
-    client_->CallMsg(ids_[replica], kShardRead, req,
+    client_->CallMsg(ids_[0], kShardRead, req,
                      [&](Status s, Decoder d) {
-                       if (s.ok()) {
-                         ShardReadResp resp;
-                         if (resp.Decode(d)) {
-                           out = std::move(resp.records);
-                         }
+                       ShardReadResp resp;
+                       if (s.ok() && resp.Decode(d)) {
+                         out = std::move(resp);
                        }
                        done = true;
                      },
@@ -134,15 +144,16 @@ TEST(ShardBlackBox, AppendReplicatesToBackup) {
 TEST(ShardBlackBox, ReadGatedOnStableGp) {
   ShardHarness h(ShardMode::kBlackBox);
   ASSERT_TRUE(h.AppendBatch(1, {PR(0, 1, "a")}).ok());
-  // Not stable yet: nowait read refuses.
-  auto r = h.Read(0, 1, /*nowait=*/true);
-  EXPECT_FALSE(r.has_value());
+  // Not stable yet: a non-waiting read is answered at once and serves nothing.
+  auto r = h.Read(0, 1);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_TRUE(r->empty());
   h.SetStable(1, 1);
-  r = h.Read(0, 1, true);
+  r = h.Read(0, 1);
   ASSERT_TRUE(r.has_value());
   ASSERT_EQ(r->size(), 1u);
   EXPECT_EQ((*r)[0].record.payload, "a");
-  EXPECT_EQ(h.servers_[0]->stats().fast_reads, 1u);
+  EXPECT_EQ(h.servers_[0]->stats().fast_reads, 2u);  // neither read waited
 }
 
 TEST(ShardBlackBox, SlowPathWokenByStableAdvance) {
@@ -150,7 +161,7 @@ TEST(ShardBlackBox, SlowPathWokenByStableAdvance) {
   ASSERT_TRUE(h.AppendBatch(1, {PR(0, 1, "a")}).ok());
   bool done = false;
   std::vector<PositionedRecord> records;
-  ShardReadReq req{0, 1, false};
+  ShardReadReq req{{ReadRange{0, 1}}, /*wait=*/true};
   h.client_->CallMsg(h.ids_[0], kShardRead, req,
                      [&](Status s, Decoder d) {
                        ASSERT_TRUE(s.ok());
@@ -169,11 +180,46 @@ TEST(ShardBlackBox, SlowPathWokenByStableAdvance) {
   EXPECT_EQ(h.servers_[0]->stats().slow_reads, 1u);
 }
 
+// A waiting multi-range read parks on its first range alone. Once stable-gp passes
+// that range's start, the replica serves every range, each clipped at stable.
+TEST(ShardBlackBox, MultiRangeWaitReadParksOnFirstRangeThenClipsAtStable) {
+  ShardHarness h(ShardMode::kBlackBox);
+  std::vector<PositionedRecord> batch;
+  for (uint64_t i = 0; i < 8; ++i) {
+    batch.push_back(PR(i, i + 1, "r" + std::to_string(i)));
+  }
+  ASSERT_TRUE(h.AppendBatch(1, batch).ok());
+  h.SetStable(1, 1);  // position 0 is stable; the first range's start (2) is not
+  bool done = false;
+  ShardReadResp resp;
+  ShardReadReq req{{ReadRange{2, 2}, ReadRange{5, 3}, ReadRange{0, 1}}, /*wait=*/true};
+  h.client_->CallMsg(h.ids_[0], kShardRead, req,
+                     [&](Status s, Decoder d) {
+                       ASSERT_TRUE(s.ok());
+                       ASSERT_TRUE(resp.Decode(d));
+                       done = true;
+                     },
+                     0);
+  h.loop_.RunUntil(h.loop_.Now() + 10 * kMs);
+  EXPECT_FALSE(done);  // parked, although its last range is already stable
+  h.SetStable(1, 6);   // passes 2, 3 and 5, not 6 and 7
+  RunUntilDone(h.loop_, done);
+  ASSERT_TRUE(done);
+  EXPECT_EQ(resp.counts, (std::vector<uint32_t>{2, 1, 1}));
+  std::vector<LogPos> got;
+  for (const PositionedRecord& pr : resp.records) {
+    got.push_back(pr.pos);
+  }
+  EXPECT_EQ(got, (std::vector<LogPos>{2, 3, 5, 0}));
+  EXPECT_EQ(resp.stable_gp, 6u);
+  EXPECT_EQ(h.servers_[0]->stats().slow_reads, 1u);
+}
+
 TEST(ShardBlackBox, RangedReadStopsAtStable) {
   ShardHarness h(ShardMode::kBlackBox);
   ASSERT_TRUE(h.AppendBatch(1, {PR(0, 1, "a"), PR(1, 2, "b"), PR(2, 3, "c")}).ok());
   h.SetStable(1, 2);  // only positions 0 and 1 stable
-  auto r = h.Read(0, 3, true);
+  auto r = h.Read(0, 3);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->size(), 2u);
 }
@@ -215,7 +261,7 @@ TEST(ShardBlackBox, SealFencesOldViewUntilRecoveryFlush) {
   // The new view's recovery flush passes the fence and serves reads.
   ASSERT_TRUE(h.AppendBatch(2, {PR(1, 2, "b")}).ok());
   h.SetStable(2, 2);
-  auto r = h.Read(0, 2, true);
+  auto r = h.Read(0, 2);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->size(), 2u);
 }
@@ -228,7 +274,7 @@ TEST(ShardBlackBox, RecoveryOverwriteRewritesTail) {
                             /*truncate_from=*/1)
                   .ok());
   h.SetStable(2, 3);
-  auto r = h.Read(0, 3, true);
+  auto r = h.Read(0, 3);
   ASSERT_TRUE(r.has_value());
   ASSERT_EQ(r->size(), 3u);
   EXPECT_EQ((*r)[0].record.payload, "a");
@@ -257,8 +303,8 @@ TEST(ShardBlackBox, TrimMakesPrefixUnreadable) {
                   },
                   kSec);
   RunUntilDone(h.loop_, done);
-  EXPECT_FALSE(h.Read(3, 1, true).has_value());
-  auto r = h.Read(5, 1, true);
+  EXPECT_FALSE(h.Read(3, 1, /*wait=*/true).has_value());  // OUT_OF_RANGE
+  auto r = h.Read(5, 1);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ((*r)[0].record.payload, "r5");
 }
@@ -271,7 +317,7 @@ TEST(ShardSt, PutThenBindServesRead) {
   ASSERT_TRUE(h.PutData(RecordId{7, 1}, "data", 1).ok());
   ASSERT_TRUE(h.OrderMeta(1, {MetaEntry{0, RecordId{7, 1}, 0}}).ok());
   h.SetStable(1, 1);
-  auto r = h.Read(0, 1, true);
+  auto r = h.Read(0, 1);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ((*r)[0].record.payload, "data");
   EXPECT_EQ(h.servers_[0]->unordered_pool_size(), 0u);  // moved out of the pool
@@ -291,7 +337,7 @@ TEST(ShardSt, MissingDataBecomesNoOpAfterTimeout) {
   Status s = h.OrderMeta(1, {MetaEntry{0, RecordId{8, 1}, 0}});
   ASSERT_TRUE(s.ok());  // ack waits out the timeout and resolves to no-op
   h.SetStable(1, 1);
-  auto r = h.Read(0, 1, true);
+  auto r = h.Read(0, 1);
   ASSERT_TRUE(r.has_value());
   EXPECT_TRUE((*r)[0].record.no_op);
   EXPECT_GE(h.servers_[0]->stats().noops_created, 1u);
@@ -323,7 +369,7 @@ TEST(ShardSt, DataArrivingBeforeTimeoutResolvesBinding) {
   RunUntilDone(h.loop_, meta_done);
   ASSERT_TRUE(meta_done);
   h.SetStable(1, 1);
-  auto r = h.Read(0, 1, true);
+  auto r = h.Read(0, 1);
   ASSERT_TRUE(r.has_value());
   EXPECT_FALSE((*r)[0].record.no_op);
   EXPECT_EQ((*r)[0].record.payload, "raced");
