@@ -105,6 +105,10 @@ struct KnobParams {
   uint64_t ring_low;
 };
 
+// Print a row by its name. Without this gtest dumps the struct's bytes, which start
+// with the name pointer, so the test names would change with code layout and ASLR.
+void PrintTo(const KnobParams& k, std::ostream* os) { *os << k.name; }
+
 class OrderingKnobSweepTest : public ::testing::TestWithParam<KnobParams> {};
 
 TEST_P(OrderingKnobSweepTest, SequentialWorkloadIsCorrect) {
