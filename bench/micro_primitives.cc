@@ -33,7 +33,7 @@ void BM_CodecDecodeRecord(benchmark::State& state) {
   Record rec{RecordId{1, 2}, std::string(static_cast<size_t>(state.range(0)), 'x'), false};
   Encoder e;
   EncodeRecord(e, rec);
-  const std::string buf = e.data();
+  const std::string buf(e.data());
   for (auto _ : state) {
     Decoder d(buf);
     Record out;

@@ -119,7 +119,7 @@ void KvClient::Put(const std::string& key, const std::string& value, PutCallback
   Encoder e;
   e.PutBytes(key);
   e.PutBytes(value);
-  endpoint_.Call(write_server_, kKvPut, e.Take(),
+  endpoint_.Call(write_server_, kKvPut, e,
                  [cb](Status s, Decoder) {
                    if (cb) {
                      cb(s.ok());
@@ -131,7 +131,7 @@ void KvClient::Put(const std::string& key, const std::string& value, PutCallback
 void KvClient::Get(const std::string& key, GetCallback cb) {
   Encoder e;
   e.PutBytes(key);
-  endpoint_.Call(read_server_, kKvGet, e.Take(),
+  endpoint_.Call(read_server_, kKvGet, e,
                  [cb](Status s, Decoder d) {
                    std::string value;
                    if (s.ok()) {

@@ -74,7 +74,7 @@ void TxnClient::Execute(TxnType type, uint64_t account, int64_t amount, TxnCallb
   e.PutU8(static_cast<uint8_t>(type));
   e.PutU64(account);
   e.PutU64(static_cast<uint64_t>(amount));
-  endpoint_.Call(server_, kTxnExecute, e.Take(),
+  endpoint_.Call(server_, kTxnExecute, e,
                  [cb](Status s, Decoder) { cb(s.ok()); }, params_.rpc_timeout_ns);
 }
 

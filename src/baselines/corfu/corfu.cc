@@ -161,15 +161,14 @@ void CorfuClient::ChainWrite(LogPos pos, std::shared_ptr<Record> record, size_t 
     // sequencer's committed tail advances.
     Encoder e;
     e.PutU64(pos + 1);
-    endpoint_.Call(sequencer_, kCorfuTail, e.Take(), nullptr, 0);
+    endpoint_.Call(sequencer_, kCorfuTail, e, nullptr, 0);
     cb(Status::Ok(), pos);
     return;
   }
   Encoder e;
   e.PutU64(pos);
   EncodeRecord(e, *record);
-  std::vector<Buf> atts = e.TakeAtts();
-  endpoint_.Call(chain[hop], kCorfuWrite, e.TakeBuf(),
+  endpoint_.Call(chain[hop], kCorfuWrite, e,
                  [this, pos, record, hop, cb](Status s, Decoder) {
                    if (!s.ok()) {
                      cb(std::move(s), kInvalidLogPos);
@@ -177,7 +176,7 @@ void CorfuClient::ChainWrite(LogPos pos, std::shared_ptr<Record> record, size_t 
                    }
                    ChainWrite(pos, record, hop + 1, cb);
                  },
-                 params_.rpc_timeout_ns, std::move(atts));
+                 params_.rpc_timeout_ns);
 }
 
 void CorfuClient::ReadOne(LogPos pos, std::function<void(Status, PositionedRecord)> cb) {
@@ -187,7 +186,7 @@ void CorfuClient::ReadOne(LogPos pos, std::function<void(Status, PositionedRecor
   Encoder e;
   e.PutU64(pos);
   e.PutBool(false);
-  endpoint_.Call(chain.back(), kCorfuRead, e.Take(),
+  endpoint_.Call(chain.back(), kCorfuRead, e,
                  [pos, cb](Status s, Decoder d) {
                    PositionedRecord pr;
                    pr.pos = pos;

@@ -156,7 +156,7 @@ void KafkaBroker::HandleTruncate(Decoder d, Responder r) {
   if (leader_) {
     Encoder e;
     e.PutU64(from);
-    const std::string body = e.Take();
+    const Buf body = e.TakeBuf();
     auto gather = Gather::Create(followers_.size(), [r](const std::vector<Status>&) mutable {
       r.Send(Status::Ok());
     });
@@ -219,8 +219,7 @@ void KafkaProducer::FlushLocked() {
   buffer_.clear();
   callbacks_.clear();
   buffered_bytes_ = 0;
-  std::vector<Buf> atts = e.TakeAtts();
-  endpoint_.Call(leader_, kKafkaProduce, e.TakeBuf(),
+  endpoint_.Call(leader_, kKafkaProduce, e,
                  [cbs](Status s, Decoder) {
                    for (auto& cb : *cbs) {
                      if (cb) {
@@ -228,7 +227,7 @@ void KafkaProducer::FlushLocked() {
                      }
                    }
                  },
-                 params_.rpc_timeout_ns, std::move(atts));
+                 params_.rpc_timeout_ns);
 }
 
 // --- consumer -------------------------------------------------------------------------------
@@ -240,7 +239,7 @@ void KafkaConsumer::Fetch(uint64_t offset, uint32_t max_records, FetchCallback c
   Encoder e;
   e.PutU64(offset);
   e.PutU32(max_records);
-  endpoint_.Call(leader_, kKafkaFetch, e.Take(),
+  endpoint_.Call(leader_, kKafkaFetch, e,
                  [this, cb](Status s, Decoder d) {
                    std::vector<Record> records;
                    if (s.ok()) {
@@ -287,7 +286,7 @@ void KafkaShardAdapter::SendWatermarkAck(Responder& r, const Status& s) {
   ShardOrderAckResp resp{order_durable_};
   Encoder e;
   resp.Encode(e);
-  r.Send(s, e.Take());
+  r.Send(s, e);
 }
 
 void KafkaShardAdapter::HandleAppendBatch(Decoder d, Responder r) {
@@ -375,12 +374,11 @@ void KafkaShardAdapter::ApplyWindow(PendingWindow w) {
     Encoder e;
     e.PutVector(wire);
     produce_inflight_ = true;
-    std::vector<Buf> atts = e.TakeAtts();
-    endpoint_.Call(kafka_leader_, kKafkaProduce, e.TakeBuf(),
+    endpoint_.Call(kafka_leader_, kKafkaProduce, e,
                    [complete](Status s, Decoder) mutable {
                      complete(std::move(s));
                    },
-                   params_.rpc_timeout_ns, std::move(atts));
+                   params_.rpc_timeout_ns);
   };
   if (req->overwrite) {
     // Recovery rewrite: "delete tail records and then append new entries" (§4.1).
@@ -395,7 +393,7 @@ void KafkaShardAdapter::ApplyWindow(PendingWindow w) {
       Encoder e;
       e.PutU64(offset_base_ + offset_pos_.size());
       produce_inflight_ = true;
-      endpoint_.Call(kafka_leader_, kKafkaTruncate, e.Take(),
+      endpoint_.Call(kafka_leader_, kKafkaTruncate, e,
                      [this, produce](Status, Decoder) mutable {
                        produce_inflight_ = false;
                        produce();
@@ -444,7 +442,7 @@ void KafkaShardAdapter::ServeNextRange(std::shared_ptr<ShardReadReq> req, size_t
   e.PutU64(offset);
   e.PutU32(range.len);
   const LogPos stable = stable_gp_;
-  endpoint_.Call(kafka_leader_, kKafkaFetch, e.Take(),
+  endpoint_.Call(kafka_leader_, kKafkaFetch, e,
                  [this, req = std::move(req), i, resp, offset, stable, r](Status s,
                                                                           Decoder d) mutable {
                    std::vector<WireRecord> wire;

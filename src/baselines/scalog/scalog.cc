@@ -80,8 +80,7 @@ void ScalogShardServer::HandleAppend(Decoder d, Responder r) {
         Encoder e;
         e.PutU64(local);
         EncodeRecord(e, rec);
-        std::vector<Buf> atts = e.TakeAtts();
-        endpoint_.Call(backup_, kScalogReplicate, e.TakeBuf(), nullptr, 0, std::move(atts));
+        endpoint_.Call(backup_, kScalogReplicate, e, nullptr, 0);
       }
     });
   });
@@ -117,7 +116,7 @@ void ScalogShardServer::ReportLoop() {
     e.PutU32(shard_id_);
     e.PutU32(server_index_);
     e.PutU64(durable_len_);
-    endpoint_.Call(ordering_leader_, kScalogReportCut, e.Take(), nullptr, 0);
+    endpoint_.Call(ordering_leader_, kScalogReportCut, e, nullptr, 0);
   }
   endpoint_.loop()->Schedule(params_.scalog.interleave_interval_ns, [this]() { ReportLoop(); });
 }
@@ -256,7 +255,7 @@ void ScalogOrderingLayer::CommitCut(std::vector<uint64_t> cut) {
     }
     Encoder e;
     e.PutVector(ranges);
-    const std::string body = e.Take();
+    const Buf body = e.TakeBuf();
     for (NodeId n : servers_) {
       endpoint_.Call(n, kScalogCommitCut, body, nullptr, 0);
     }
@@ -296,20 +295,18 @@ void ScalogClient::Append(const AppendOptions& options, Buf payload, AppendCallb
   rec.log = options.log;
   Encoder e;
   EncodeRecord(e, rec);
-  std::vector<Buf> atts = e.TakeAtts();
   const NodeId target = shard_primaries_[rr_cursor_++ % shard_primaries_.size()];
   // Statuses pass through unmapped (kOverloaded included, if a shard ever sheds load):
   // the Scalog baseline models no admission control or client-side overload retry.
-  endpoint_.Call(target, kScalogAppend, e.TakeBuf(),
-                 [cb](Status s, Decoder) { cb(std::move(s)); }, params_.rpc_timeout_ns,
-                 std::move(atts));
+  endpoint_.Call(target, kScalogAppend, e,
+                 [cb](Status s, Decoder) { cb(std::move(s)); }, params_.rpc_timeout_ns);
 }
 
 void ScalogClient::ReadOne(LogPos pos, std::function<void(Status, PositionedRecord)> cb) {
   read_stats_.primary_reads++;
   Encoder e;
   e.PutU64(pos);
-  endpoint_.Call(ordering_leader_, kScalogLocate, e.Take(),
+  endpoint_.Call(ordering_leader_, kScalogLocate, e,
                  [this, pos, cb](Status s, Decoder d) {
                    if (!s.ok()) {
                      cb(std::move(s), {});
@@ -322,7 +319,7 @@ void ScalogClient::ReadOne(LogPos pos, std::function<void(Status, PositionedReco
                    Encoder re;
                    re.PutU64(local);
                    re.PutU64(pos);
-                   endpoint_.Call(shard_primaries_[shard], kScalogRead, re.Take(),
+                   endpoint_.Call(shard_primaries_[shard], kScalogRead, re,
                                   [cb](Status s2, Decoder rd) {
                                     PositionedRecord pr;
                                     if (s2.ok()) {

@@ -104,7 +104,7 @@ class Buf {
     if (n == 0) {
       return b;
     }
-    auto owner = std::shared_ptr<char[]>(new char[n]);
+    auto owner = std::make_shared_for_overwrite<char[]>(n);
     std::memcpy(owner.get(), p, n);
     auto& stats = GlobalBufStats();
     stats.allocations++;
@@ -146,6 +146,8 @@ class Buf {
   friend bool operator==(const Buf& a, const Buf& b) { return a.view() == b.view(); }
 
  private:
+  friend class Encoder;  // hands its encode block over as a backing (TakeBuf)
+
   std::shared_ptr<const char> backing_;  // aliased owner; keeps the block alive
   const char* data_ = nullptr;
   size_t len_ = 0;

@@ -15,8 +15,11 @@
 #define SRC_COMMON_CODEC_H_
 
 #include <cstdint>
+#include <algorithm>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -25,20 +28,41 @@
 
 namespace lazylog {
 
-// Append-only byte sink for message serialization.
+// Append-only byte sink for message serialization. The bytes accumulate in one
+// refcounted block that TakeBuf() hands over without copying. The first
+// kFrameHeadroom bytes of the block are left free so the RPC layer can prepend a frame
+// header in place (Prepend*) and send body and header as one buffer.
 class Encoder {
  public:
-  void PutU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
+  // Bytes reserved in front of the body: the largest fixed RPC frame header (an OK
+  // response: kind, rpc id, status code, empty message, body length).
+  static constexpr size_t kFrameHeadroom = 18;
+
+  Encoder() = default;
+  // Sizes the first block for exactly `body_bytes` of content (exact-size frames).
+  explicit Encoder(size_t body_bytes) : first_block_(kFrameHeadroom + body_bytes) {}
+
+  void PutU8(uint8_t v) { PutFixed(&v, sizeof(v)); }
   void PutU32(uint32_t v) { PutFixed(&v, sizeof(v)); }
   void PutU64(uint64_t v) { PutFixed(&v, sizeof(v)); }
   void PutBool(bool v) { PutU8(v ? 1 : 0); }
-  void PutBytes(const std::string& s) {
-    PutU32(static_cast<uint32_t>(s.size()));
-    buf_.append(s);
-  }
+  void PutBytes(const std::string& s) { PutBytes(s.data(), s.size()); }
   void PutBytes(const char* p, size_t n) {
     PutU32(static_cast<uint32_t>(n));
-    buf_.append(p, n);
+    PutFixed(p, n);
+  }
+
+  // Raw bytes with no length prefix (an already-encoded body copied into a frame).
+  void PutRaw(const char* p, size_t n) { PutFixed(p, n); }
+  // Appends attachment handles already counted by the encoder that produced them.
+  void PutAttachments(std::vector<Buf> atts) {
+    if (atts_.empty()) {
+      atts_ = std::move(atts);
+    } else {
+      for (Buf& a : atts) {
+        atts_.push_back(std::move(a));
+      }
+    }
   }
 
   // Inline Buf: length prefix + bytes copied into the frame (counted). Use only for
@@ -79,13 +103,37 @@ class Encoder {
     }
   }
 
-  const std::string& data() const { return buf_; }
-  std::string Take() { return std::move(buf_); }
-  // Moves the frame bytes into a Buf backing (no byte copy) for zero-copy delivery.
-  Buf TakeBuf() { return Buf::FromString(std::move(buf_)); }
+  // Writes in front of the current content (frame headers, written last field first).
+  // Uses the reserved headroom; moves the content only if the headroom runs out.
+  void PrependU8(uint8_t v) { PrependFixed(&v, sizeof(v)); }
+  void PrependU32(uint32_t v) { PrependFixed(&v, sizeof(v)); }
+  void PrependU64(uint64_t v) { PrependFixed(&v, sizeof(v)); }
+  void PrependRaw(const char* p, size_t n) { PrependFixed(p, n); }
+
+  std::string_view data() const {
+    return block_ ? std::string_view(block_.get() + start_, size()) : std::string_view();
+  }
+  // Copies the content out and clears the encoder. Frames go through TakeBuf().
+  std::string Take() {
+    std::string s(data());
+    Clear();
+    return s;
+  }
+  // Hands the content over as a Buf aliasing this encoder's block (no byte copy).
+  Buf TakeBuf() {
+    Buf b;
+    if (size() > 0) {
+      GlobalBufStats().allocations++;
+      b.data_ = block_.get() + start_;
+      b.len_ = size();
+      b.backing_ = std::shared_ptr<const char>(std::move(block_), b.data_);
+    }
+    Clear();
+    return b;
+  }
   std::vector<Buf> TakeAtts() { return std::move(atts_); }
   bool has_atts() const { return !atts_.empty(); }
-  size_t size() const { return buf_.size(); }
+  size_t size() const { return end_ - start_; }
   // Total attachment bytes. size() + atts_size() equals the old inline encoding size,
   // so CPU/disk charges based on encoded size stay byte-identical.
   size_t atts_size() const {
@@ -97,14 +145,59 @@ class Encoder {
   }
 
  private:
+  // First block size for encoders built without a hint: fits the headroom plus the
+  // small control messages that make up most frames.
+  static constexpr size_t kDefaultBlock = 128;
+
   void PutFixed(const void* p, size_t n) {
+    if (n == 0) {
+      return;
+    }
+    if (end_ + n > cap_) {
+      Grow(n);
+    }
     // Host order is little-endian on every supported target; memcpy keeps it alignment-safe.
-    size_t off = buf_.size();
-    buf_.resize(off + n);
-    std::memcpy(buf_.data() + off, p, n);
+    std::memcpy(block_.get() + end_, p, n);
+    end_ += n;
+  }
+  void PrependFixed(const void* p, size_t n) {
+    if (!block_ || start_ < n) {
+      Grow(0, n);
+    }
+    start_ -= n;
+    if (n > 0) {
+      std::memcpy(block_.get() + start_, p, n);
+    }
+  }
+  // Moves the content into a fresh block with room for `more` bytes at the end and at
+  // least max(front, kFrameHeadroom) bytes in front.
+  void Grow(size_t more, size_t front = 0) {
+    front = std::max(front, kFrameHeadroom);
+    const size_t need = front + size() + more;
+    size_t cap = cap_ == 0 ? std::max(need, first_block_) : cap_;
+    while (cap < need) {
+      cap *= 2;
+    }
+    auto block = std::make_shared_for_overwrite<char[]>(cap);
+    if (size() > 0) {
+      std::memcpy(block.get() + front, block_.get() + start_, size());
+    }
+    end_ = front + size();
+    start_ = front;
+    block_ = std::move(block);
+    cap_ = cap;
+  }
+  void Clear() {
+    block_.reset();
+    cap_ = 0;
+    start_ = end_ = kFrameHeadroom;
   }
 
-  std::string buf_;
+  std::shared_ptr<char[]> block_;
+  size_t cap_ = 0;
+  size_t start_ = kFrameHeadroom;  // content is [start_, end_) of block_
+  size_t end_ = kFrameHeadroom;
+  size_t first_block_ = kDefaultBlock;
   std::vector<Buf> atts_;
 };
 
@@ -119,6 +212,7 @@ class Decoder {
  public:
   Decoder() = default;
   explicit Decoder(const std::string& data) : data_(data.data()), size_(data.size()) {}
+  explicit Decoder(std::string_view data) : data_(data.data()), size_(data.size()) {}
   Decoder(const char* data, size_t size) : data_(data), size_(size) {}
   explicit Decoder(Buf body, std::vector<Buf> atts = {})
       : body_(std::move(body)), atts_(std::move(atts)) {

@@ -238,7 +238,7 @@ void ZooKeeperLite::FireWatches(const std::string& path, ZkEvent event) {
       e.PutBytes(path);
       e.PutU8(static_cast<uint8_t>(event));
       // Fire-and-forget notification; the watcher's handler responds OK and we ignore it.
-      endpoint_.Call(w.watcher, kZkWatchFire, e.Take(), nullptr, 0);
+      endpoint_.Call(w.watcher, kZkWatchFire, e, nullptr, 0);
     }
   }
 }
@@ -268,7 +268,7 @@ void ZkSession::Start(const std::string& ephemeral_path, std::function<void()> o
         e.PutBytes(ephemeral_path);
         e.PutBytes("");
         e.PutU64(session_id_);
-        endpoint_->Call(zk_node_, kZkCreate, e.Take(),
+        endpoint_->Call(zk_node_, kZkCreate, e,
                         [this, ephemeral_path, on_ready](Status s2, Decoder) {
                           if (s2.ok()) {
                             if (on_ready) {
@@ -307,7 +307,7 @@ void ZkSession::HeartbeatLoop() {
   }
   Encoder e;
   e.PutU64(session_id_);
-  endpoint_->Call(zk_node_, kZkHeartbeat, e.Take(), nullptr, 0);
+  endpoint_->Call(zk_node_, kZkHeartbeat, e, nullptr, 0);
   heartbeat_event_ =
       endpoint_->loop()->Schedule(params_.session_heartbeat_ns, [this]() { HeartbeatLoop(); });
 }
@@ -320,7 +320,7 @@ void ZkClient::Create(const std::string& path, const std::string& data,
   e.PutBytes(path);
   e.PutBytes(data);
   e.PutU64(ephemeral_session);
-  endpoint_->Call(zk_node_, kZkCreate, e.Take(),
+  endpoint_->Call(zk_node_, kZkCreate, e,
                   [cb](Status s, Decoder) {
                     if (cb) {
                       cb(std::move(s));
@@ -335,7 +335,7 @@ void ZkClient::SetData(const std::string& path, const std::string& data,
   e.PutBytes(path);
   e.PutBytes(data);
   e.PutU64(expected_version);
-  endpoint_->Call(zk_node_, kZkSetData, e.Take(),
+  endpoint_->Call(zk_node_, kZkSetData, e,
                   [cb](Status s, Decoder) {
                     if (cb) {
                       cb(std::move(s));
@@ -347,7 +347,7 @@ void ZkClient::SetData(const std::string& path, const std::string& data,
 void ZkClient::GetData(const std::string& path, DataCallback cb, uint64_t timeout_ns) {
   Encoder e;
   e.PutBytes(path);
-  endpoint_->Call(zk_node_, kZkGetData, e.Take(),
+  endpoint_->Call(zk_node_, kZkGetData, e,
                   [cb](Status s, Decoder d) {
                     std::string data;
                     uint64_t version = 0;
@@ -363,7 +363,7 @@ void ZkClient::GetData(const std::string& path, DataCallback cb, uint64_t timeou
 void ZkClient::Delete(const std::string& path, DoneCallback cb, uint64_t timeout_ns) {
   Encoder e;
   e.PutBytes(path);
-  endpoint_->Call(zk_node_, kZkDelete, e.Take(),
+  endpoint_->Call(zk_node_, kZkDelete, e,
                   [cb](Status s, Decoder) {
                     if (cb) {
                       cb(std::move(s));
@@ -375,7 +375,7 @@ void ZkClient::Delete(const std::string& path, DoneCallback cb, uint64_t timeout
 void ZkClient::List(const std::string& prefix, ListCallback cb, uint64_t timeout_ns) {
   Encoder e;
   e.PutBytes(prefix);
-  endpoint_->Call(zk_node_, kZkList, e.Take(),
+  endpoint_->Call(zk_node_, kZkList, e,
                   [cb](Status s, Decoder d) {
                     std::vector<std::string> paths;
                     if (s.ok()) {
@@ -406,7 +406,7 @@ void ZkClient::Watch(const std::string& prefix, WatchCallback cb) {
   });
   Encoder e;
   e.PutBytes(prefix);
-  endpoint_->Call(zk_node_, kZkWatch, e.Take(), nullptr, 0);
+  endpoint_->Call(zk_node_, kZkWatch, e, nullptr, 0);
 }
 
 }  // namespace lazylog

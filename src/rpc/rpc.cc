@@ -1,5 +1,7 @@
 #include "src/rpc/rpc.h"
 
+#include <memory>
+
 #include "src/common/logging.h"
 
 namespace lazylog {
@@ -7,14 +9,62 @@ namespace lazylog {
 namespace {
 constexpr uint8_t kKindRequest = 1;
 constexpr uint8_t kKindResponse = 2;
+// kind + method + rpc id + body length; an OK response's header is kFrameHeadroom.
+static_assert(1 + 4 + 8 + 4 <= Encoder::kFrameHeadroom);
+static_assert(1 + 8 + 1 + 4 + 4 == Encoder::kFrameHeadroom);
 }  // namespace
 
+// Free list of send-once tokens. Process-wide (the simulator is single-threaded) so a
+// responder may outlive the endpoint and cluster it answers for, and never destroyed
+// so responders released during static teardown stay safe.
+struct Responder::TokenPool {
+  static constexpr size_t kChunk = 256;
+  std::vector<std::unique_ptr<Token[]>> chunks;
+  Token* free = nullptr;
+
+  static TokenPool& Get() {
+    static auto* pool = new TokenPool();
+    return *pool;
+  }
+};
+
+Responder::Responder(RpcEndpoint* endpoint, NodeId caller, uint64_t rpc_id) {
+  TokenPool& pool = TokenPool::Get();
+  if (pool.free == nullptr) {
+    pool.chunks.push_back(std::make_unique<Token[]>(TokenPool::kChunk));
+    for (size_t i = 0; i < TokenPool::kChunk; ++i) {
+      pool.chunks.back()[i].next_free = pool.free;
+      pool.free = &pool.chunks.back()[i];
+    }
+  }
+  token_ = pool.free;
+  pool.free = token_->next_free;
+  *token_ = Token{endpoint, caller, rpc_id, 1, nullptr};
+}
+
+void Responder::Release() noexcept {
+  if (token_ != nullptr && --token_->refs == 0) {
+    TokenPool& pool = TokenPool::Get();
+    token_->next_free = pool.free;
+    pool.free = token_;
+  }
+  token_ = nullptr;
+}
+
+RpcEndpoint* Responder::Claim() {
+  LL_CHECK(valid(), "responding twice or with an empty Responder");
+  return std::exchange(token_->endpoint, nullptr);
+}
+
 void Responder::Send(const Status& status, Buf body, std::vector<Buf> atts) {
-  LL_CHECK(inner_ != nullptr && inner_->endpoint != nullptr,
-           "responding twice or with an empty Responder");
-  inner_->endpoint->SendResponse(inner_->caller, inner_->rpc_id, status, std::move(body),
-                                 std::move(atts));
-  inner_->endpoint = nullptr;
+  Encoder enc(body.size());
+  enc.PutRaw(body.data(), body.size());
+  enc.PutAttachments(std::move(atts));
+  Send(status, enc);
+}
+
+void Responder::Send(const Status& status, Encoder& body) {
+  Claim()->SendResponse(token_->caller, token_->rpc_id, status, body);
 }
 
 RpcEndpoint::RpcEndpoint(Network* net) : net_(net) {
@@ -25,44 +75,77 @@ void RpcEndpoint::Register(MethodId method, Handler handler) {
   handlers_[method] = std::move(handler);
 }
 
-void RpcEndpoint::Call(NodeId dest, MethodId method, Buf body, ResponseCallback cb,
-                       uint64_t timeout_ns, std::vector<Buf> atts) {
-  const uint64_t rpc_id = next_rpc_id_++;
-  stats_.calls_issued++;
-  // The frame holds only the header and the (attachment-stripped) body; payload bytes
-  // ride as separate segments, so framing never re-touches record data. The NIC still
-  // charges frame + attachment bytes (Network::Send default), which equals the old
-  // inline encoding byte-for-byte.
-  Encoder enc;
-  enc.PutU8(kKindRequest);
-  enc.PutU32(method);
-  enc.PutU64(rpc_id);
-  enc.PutBytes(body.data(), body.size());
-
-  Pending pending;
-  pending.cb = std::move(cb);
+RpcEndpoint::Pending& RpcEndpoint::AddPending(uint64_t rpc_id, uint64_t timeout_ns) {
+  if (ring_count_ == 0) {
+    ring_base_ = rpc_id;
+  }
+  const size_t need = static_cast<size_t>(rpc_id - ring_base_) + 1;
+  if (need > ring_.size()) {
+    size_t cap = ring_.empty() ? 16 : ring_.size();
+    while (cap < need) {
+      cap *= 2;
+    }
+    std::vector<Pending> grown(cap);
+    for (size_t k = 0; k < ring_count_; ++k) {
+      grown[k] = std::move(ring_[(ring_head_ + k) & (ring_.size() - 1)]);
+    }
+    ring_ = std::move(grown);
+    ring_head_ = 0;
+  }
+  // Ids skipped since the last entry were fire-and-forget. Their entries are not live:
+  // an entry only leaves the ring once it is dead, and new ones start dead.
+  ring_count_ = need;
+  Pending& p = At(rpc_id);
+  p.live = true;
   if (timeout_ns > 0) {
-    pending.timeout = loop()->Schedule(timeout_ns, [this, rpc_id]() {
-      auto it = pending_.find(rpc_id);
-      if (it == pending_.end()) {
+    p.timeout = loop()->Schedule(timeout_ns, [this, rpc_id]() {
+      Pending* timed_out = Find(rpc_id);
+      if (timed_out == nullptr) {
         return;
       }
-      auto cb2 = std::move(it->second.cb);
-      pending_.erase(it);
+      ResponseCallback cb = Finish(*timed_out);
       stats_.timeouts++;
-      if (cb2) {
-        cb2(Status::Timeout(), Decoder());
+      if (cb) {
+        cb(Status::Timeout(), Decoder());
       }
     });
+  } else {
+    p.timeout = EventHandle();
   }
-  pending_.emplace(rpc_id, std::move(pending));
-  net_->Send(node_id_, dest, enc.TakeBuf(), 0, std::move(atts));
+  return p;
+}
+
+RpcEndpoint::Pending* RpcEndpoint::Find(uint64_t rpc_id) {
+  if (rpc_id < ring_base_ || rpc_id - ring_base_ >= ring_count_) {
+    return nullptr;
+  }
+  Pending& p = At(rpc_id);
+  return p.live ? &p : nullptr;
+}
+
+RpcEndpoint::ResponseCallback RpcEndpoint::Finish(Pending& p) {
+  ResponseCallback cb = std::move(p.cb);
+  p.live = false;
+  while (ring_count_ > 0 && !ring_[ring_head_].live) {
+    ring_head_ = (ring_head_ + 1) & (ring_.size() - 1);
+    ++ring_base_;
+    --ring_count_;
+  }
+  return cb;
 }
 
 void RpcEndpoint::CancelAll() {
-  auto pending = std::move(pending_);
-  pending_.clear();
-  for (auto& [id, p] : pending) {
+  std::vector<Pending> ring = std::move(ring_);
+  const size_t head = ring_head_;
+  const size_t count = ring_count_;
+  ring_.clear();
+  ring_head_ = 0;
+  ring_count_ = 0;
+  for (size_t k = 0; k < count; ++k) {
+    Pending& p = ring[(head + k) & (ring.size() - 1)];
+    if (!p.live) {
+      continue;
+    }
     p.timeout.Cancel();
     stats_.cancelled++;
     if (p.cb) {
@@ -71,15 +154,30 @@ void RpcEndpoint::CancelAll() {
   }
 }
 
-void RpcEndpoint::SendResponse(NodeId dest, uint64_t rpc_id, const Status& status, Buf body,
-                               std::vector<Buf> atts) {
-  Encoder enc;
-  enc.PutU8(kKindResponse);
-  enc.PutU64(rpc_id);
-  enc.PutU8(static_cast<uint8_t>(status.code()));
-  enc.PutBytes(status.message());
-  enc.PutBytes(body.data(), body.size());
-  net_->Send(node_id_, dest, enc.TakeBuf(), 0, std::move(atts));
+void RpcEndpoint::SendRequest(NodeId dest, MethodId method, uint64_t rpc_id, Encoder& body) {
+  // The frame holds only the header and the (attachment-stripped) body; payload bytes
+  // ride as separate segments, so framing never re-touches record data. The NIC still
+  // charges frame + attachment bytes (Network::Send default), which equals the old
+  // inline encoding byte-for-byte.
+  body.PrependU32(static_cast<uint32_t>(body.size()));
+  body.PrependU64(rpc_id);
+  body.PrependU32(method);
+  body.PrependU8(kKindRequest);
+  auto atts = body.TakeAtts();
+  net_->Send(node_id_, dest, body.TakeBuf(), 0, std::move(atts));
+}
+
+void RpcEndpoint::SendResponse(NodeId dest, uint64_t rpc_id, const Status& status,
+                               Encoder& body) {
+  body.PrependU32(static_cast<uint32_t>(body.size()));
+  const std::string& message = status.message();
+  body.PrependRaw(message.data(), message.size());
+  body.PrependU32(static_cast<uint32_t>(message.size()));
+  body.PrependU8(static_cast<uint8_t>(status.code()));
+  body.PrependU64(rpc_id);
+  body.PrependU8(kKindResponse);
+  auto atts = body.TakeAtts();
+  net_->Send(node_id_, dest, body.TakeBuf(), 0, std::move(atts));
 }
 
 void RpcEndpoint::OnMessage(NetMessage&& msg) {
@@ -117,13 +215,12 @@ void RpcEndpoint::OnMessage(NetMessage&& msg) {
       LLOG(kWarn) << "malformed rpc response from node " << msg.from;
       return;
     }
-    auto it = pending_.find(rpc_id);
-    if (it == pending_.end()) {
-      return;  // late response after timeout; drop
+    Pending* p = Find(rpc_id);
+    if (p == nullptr) {
+      return;  // late response after timeout, or a fire-and-forget reply; drop
     }
-    it->second.timeout.Cancel();
-    auto cb = std::move(it->second.cb);
-    pending_.erase(it);
+    p->timeout.Cancel();
+    ResponseCallback cb = Finish(*p);
     stats_.responses_received++;
     if (cb) {
       cb(Status(static_cast<StatusCode>(code), std::move(message)),

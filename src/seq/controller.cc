@@ -154,7 +154,7 @@ void Controller::SealAll(uint32_t attempt) {
   SeqSealReq seal{view_};
   Encoder enc;
   seal.Encode(enc);
-  const std::string body = enc.Take();
+  const Buf body = enc.TakeBuf();
   const ViewId sealed_view = view_;
   auto gather = Gather::Create(
       targets.size(),
@@ -200,7 +200,7 @@ void Controller::FenceShards(ViewId fence_view, std::shared_ptr<std::set<NodeId>
   ShardSealReq req{fence_view};
   Encoder enc;
   req.Encode(enc);
-  const std::string body = enc.Take();
+  const Buf body = enc.TakeBuf();
   const std::vector<NodeId> round(pending->begin(), pending->end());
   auto gather = Gather::Create(
       round.size(),
@@ -234,7 +234,7 @@ void Controller::ResealLoop() {
       SeqSealReq seal{sealed_view};
       Encoder enc;
       seal.Encode(enc);
-      endpoint_.Call(node, kSeqSeal, enc.Take(),
+      endpoint_.Call(node, kSeqSeal, enc,
                      [this, node](Status s, Decoder) {
                        // WRONG_VIEW means the node already moved to a newer view (it was
                        // started into the new config); either way it is no longer a
@@ -307,7 +307,7 @@ void Controller::FlushRecovery(std::vector<NodeId> live, NodeId recovery, uint32
       new_config.push_back(n);
     }
   }
-  endpoint_.Call(recovery, kSeqFetchLog, enc.Take(),
+  endpoint_.Call(recovery, kSeqFetchLog, enc,
                  [this, live = std::move(live), recovery, attempt,
                   new_config = std::move(new_config)](Status s, Decoder d) mutable {
                    SeqFlushResp resp;
@@ -365,7 +365,7 @@ void Controller::FinishView(std::vector<NodeId> new_config, LogPos ordered_gp,
         StableGpMsg stable{new_view, ordered_gp};
         Encoder se;
         stable.Encode(se);
-        const std::string sbody = se.Take();
+        const Buf sbody = se.TakeBuf();
         for (NodeId n : AllShardServers()) {
           endpoint_.Call(n, kShardSetStableGp, sbody, nullptr, 0);
         }
@@ -808,7 +808,7 @@ void Controller::PromoSealRound(std::shared_ptr<PromoState> st, uint32_t attempt
   ShardPromoSealReq req{st->promo_epoch};
   Encoder enc;
   req.Encode(enc);
-  const std::string body = enc.Take();
+  const Buf body = enc.TakeBuf();
   const std::vector<NodeId> round(st->pending.begin(), st->pending.end());
   auto remaining = std::make_shared<size_t>(round.size());
   for (NodeId n : round) {
@@ -952,7 +952,7 @@ void Controller::SendPromote(std::shared_ptr<PromoState> st, NodeId target, uint
   }
   Encoder enc;
   req.Encode(enc);
-  endpoint_.Call(target, kShardPromote, enc.Take(),
+  endpoint_.Call(target, kShardPromote, enc,
                  [this, st, target, attempt, cb = std::move(cb)](Status s, Decoder d) mutable {
                    ShardOrderAckResp resp;
                    if (s.ok() && resp.Decode(d)) {
@@ -1046,7 +1046,7 @@ void Controller::UpdateIndexShards(NodeId old_node, NodeId new_node, uint32_t at
   SeqUpdateShardsReq req{old_node, new_node};
   Encoder enc;
   req.Encode(enc);
-  const std::string body = enc.Take();
+  const Buf body = enc.TakeBuf();
   auto rearmed = std::make_shared<bool>(false);
   for (NodeId n : index_nodes_) {
     endpoint_.Call(n, kSeqUpdateShards, body,

@@ -569,12 +569,11 @@ void SequencingReplica::PumpCursor(size_t s) {
     const SimTime sent_at = endpoint_.loop()->Now();
     // m-mode windows carry the record payloads as attachments: the push shares the
     // ring buffer's backing, it does not re-copy record bytes.
-    std::vector<Buf> atts = enc.TakeAtts();
-    endpoint_.Call(shard_primaries_[s], method, enc.TakeBuf(),
+    endpoint_.Call(shard_primaries_[s], method, enc,
                    [this, s, epoch, window_view, sent_at](Status st, Decoder body) {
                      OnWindowAck(s, epoch, window_view, sent_at, st, std::move(body));
                    },
-                   params_.seq.order_push_timeout_ns, std::move(atts));
+                   params_.seq.order_push_timeout_ns);
   }
 }
 
@@ -781,7 +780,7 @@ void SequencingReplica::SendFollowerGc(NodeId follower, std::function<void()> do
   const size_t sent = f.pending.size();
   Encoder enc;
   gc.Encode(enc);
-  endpoint_.Call(follower, kSeqGc, enc.Take(),
+  endpoint_.Call(follower, kSeqGc, enc,
                  [this, follower, gc_view, sent_gp, sent, done = std::move(done)](
                      Status s, Decoder) {
                    OnFollowerGcDone(follower, gc_view, sent_gp, sent, s);

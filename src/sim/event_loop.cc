@@ -4,38 +4,52 @@
 
 namespace lazylog {
 
-bool EventHandle::Pending() const { return state_ != nullptr && !state_->cancelled && state_->fn; }
+bool EventHandle::Pending() const {
+  return loop_ != nullptr && loop_->SlotAt(slot_).gen == gen_;
+}
 
 void EventHandle::Cancel() {
-  if (state_ != nullptr) {
-    state_->cancelled = true;
-    state_->fn = nullptr;  // release captured resources promptly
+  if (Pending()) {
+    loop_->ReleaseSlot(slot_);
   }
 }
 
-EventHandle EventLoop::ScheduleAt(SimTime at, std::function<void()> fn) {
-  if (at < now_) {
-    at = now_;
+uint32_t EventLoop::AcquireSlot() {
+  if (free_slots_.empty()) {
+    const auto base = static_cast<uint32_t>(chunks_.size() * kChunkSize);
+    chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
+    free_slots_.reserve(chunks_.size() * kChunkSize);
+    for (uint32_t i = kChunkSize; i > 0; --i) {
+      free_slots_.push_back(base + i - 1);  // lowest index on top
+    }
   }
-  auto state = std::make_shared<EventHandle::State>();
-  state->fn = std::move(fn);
-  queue_.push(QueueEntry{at, next_seq_++, state});
-  return EventHandle(state);
+  const uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  return slot;
+}
+
+void EventLoop::ReleaseSlot(uint32_t slot) {
+  Slot& s = SlotAt(slot);
+  s.gen = kFreeGen;
+  s.fn.reset();
+  free_slots_.push_back(slot);
 }
 
 bool EventLoop::RunOne() {
   while (!queue_.empty()) {
-    QueueEntry e = queue_.top();
+    const QueueEntry e = queue_.top();
     queue_.pop();
-    if (e.state->cancelled || !e.state->fn) {
-      continue;  // tombstone of a cancelled event
+    if (!Live(e)) {
+      continue;  // tombstone of a cancelled (or empty) event
     }
     LL_CHECK(e.at >= now_, "event scheduled in the past");
     now_ = e.at;
-    auto fn = std::move(e.state->fn);
-    e.state->fn = nullptr;
+    Slot& s = SlotAt(e.slot);
+    s.gen = kFreeGen;  // the handle stops being Pending() before the callable runs
     ++events_run_;
-    fn();
+    s.fn();
+    s.fn.reset();
+    free_slots_.push_back(e.slot);
     return true;
   }
   return false;
@@ -44,7 +58,7 @@ bool EventLoop::RunOne() {
 void EventLoop::RunUntil(SimTime deadline) {
   while (!queue_.empty()) {
     const QueueEntry& top = queue_.top();
-    if (top.state->cancelled || !top.state->fn) {
+    if (!Live(top)) {
       queue_.pop();
       continue;
     }

@@ -5,7 +5,8 @@
 #ifndef SRC_SIM_RESOURCES_H_
 #define SRC_SIM_RESOURCES_H_
 
-#include <functional>
+#include <algorithm>
+#include <utility>
 
 #include "src/common/params.h"
 #include "src/sim/event_loop.h"
@@ -25,12 +26,18 @@ class ServerCpu {
                                  params_.copy_bandwidth_bytes_per_sec * 1e9);
   }
 
-  // Queues work costing `cost_ns`; `fn` runs at completion time.
-  void Execute(uint64_t cost_ns, std::function<void()> fn);
+  // Queues work costing `cost_ns`; `fn` (any void() callable) runs at completion time.
+  template <typename F>
+  void Execute(uint64_t cost_ns, F&& fn) {
+    const SimTime start = std::max(loop_->Now(), busy_until_);
+    busy_until_ = start + cost_ns;
+    loop_->ScheduleAt(busy_until_, std::forward<F>(fn));
+  }
 
   // Convenience: Execute(CostFor(bytes), fn).
-  void ExecuteFor(uint64_t bytes, std::function<void()> fn) {
-    Execute(CostFor(bytes), std::move(fn));
+  template <typename F>
+  void ExecuteFor(uint64_t bytes, F&& fn) {
+    Execute(CostFor(bytes), std::forward<F>(fn));
   }
 
   // Time at which the core becomes free (>= Now when busy).
@@ -51,8 +58,16 @@ class Disk {
  public:
   Disk(EventLoop* loop, const DiskParams& params) : loop_(loop), params_(params) {}
 
-  // Persists `bytes`; `fn` (optional) runs at durability time.
-  void Write(uint64_t bytes, std::function<void()> fn = nullptr);
+  // Persists `bytes`; `fn` (optional; an empty callable schedules nothing) runs at
+  // durability time.
+  template <typename F>
+  void Write(uint64_t bytes, F&& fn) {
+    const SimTime done = Admit(bytes);
+    if (!IsNullCallable(fn)) {
+      loop_->ScheduleAt(done, std::forward<F>(fn));
+    }
+  }
+  void Write(uint64_t bytes) { Admit(bytes); }
 
   // Bytes of queued-but-unwritten data (for backpressure decisions and tests).
   uint64_t QueueDepthNs() const;
@@ -66,6 +81,9 @@ class Disk {
   double slowdown_factor() const { return slowdown_; }
 
  private:
+  // Queues the transfer and returns its durability time.
+  SimTime Admit(uint64_t bytes);
+
   EventLoop* loop_;
   DiskParams params_;
   SimTime busy_until_ = 0;

@@ -42,7 +42,7 @@ void ShardServer::BatchAck::Complete(const Status& s) {
 void ShardServer::SendWatermarkAck(Responder r, const Status& s) {
   Encoder e;
   ShardOrderAckResp{order_durable_}.Encode(e);
-  r.Send(s, e.Take());
+  r.Send(s, e);
 }
 
 void ShardServer::OnWindowDurable(LogPos lo, LogPos hi) {
@@ -497,7 +497,7 @@ bool ShardServer::BindPosition(const MetaEntry& entry, const std::shared_ptr<Bat
                              params_.seq.st_data_timeout_ns, [this, id, p2]() {
                                Encoder e2;
                                FetchRecordReq{p2}.Encode(e2);
-                               endpoint_.Call(replicas_[0], kShardFetchRecord, e2.Take(),
+                               endpoint_.Call(replicas_[0], kShardFetchRecord, e2,
                                               [this, id](Status s2, Decoder b2) {
                                                 ApplyFetchedRecord(id, s2, std::move(b2));
                                               },
@@ -569,7 +569,7 @@ void ShardServer::FinalizeNoOp(const RecordId& id) {
 void ShardServer::SendReplicateNoOp(NodeId backup, NoOpMsg msg) {
   Encoder e;
   msg.Encode(e);
-  endpoint_.Call(backup, kShardReplicateNoOp, e.Take(),
+  endpoint_.Call(backup, kShardReplicateNoOp, e,
                  [this, backup, msg](Status s, Decoder) {
                    if (s.ok()) {
                      return;
@@ -1345,9 +1345,7 @@ void ShardServer::CatchUpPeer(NodeId peer, LogPos from, uint32_t attempt) {
   }
   const MethodId method =
       mode_ == ShardMode::kStModified ? kShardReplicateMeta : kShardReplicate;
-  const std::vector<Buf> atts = e.TakeAtts();
-  const Buf body = e.TakeBuf();
-  endpoint_.Call(peer, method, body,
+  endpoint_.Call(peer, method, e,
                  [this, peer, from, attempt](Status s, Decoder) {
                    if (s.ok() || attempt >= 4) {
                      return;  // a peer that stays unreachable gets its own replacement
@@ -1357,7 +1355,7 @@ void ShardServer::CatchUpPeer(NodeId peer, LogPos from, uint32_t attempt) {
                                                 CatchUpPeer(peer, from, attempt + 1);
                                               });
                  },
-                 params_.rpc_timeout_ns, atts);
+                 params_.rpc_timeout_ns);
 }
 
 void ShardServer::BackfillPending(RecordId id, size_t peer_index) {
@@ -1373,7 +1371,7 @@ void ShardServer::BackfillPending(RecordId id, size_t peer_index) {
   }
   Encoder e;
   ShardBackfillReq{it->second.pos}.Encode(e);
-  endpoint_.Call(replicas_[peer_index], kShardBackfill, e.Take(),
+  endpoint_.Call(replicas_[peer_index], kShardBackfill, e,
                  [this, id, peer_index](Status s, Decoder body) {
                    if (pending_.find(id) == pending_.end()) {
                      return;

@@ -98,7 +98,7 @@ TEST_F(BufTest, GetBufViewAliasesOwnedBody) {
 TEST_F(BufTest, GetBufViewCopiesWhenBodyUnowned) {
   Encoder e;
   e.PutBuf(Buf::FromString("copy-me"));
-  const std::string wire = e.data();
+  const std::string wire(e.data());
   Buf out;
   {
     Decoder d(wire);  // unowned view of a string: aliasing would dangle
@@ -165,7 +165,7 @@ TEST_F(BufTest, GetAttachedFailsWithoutAttachmentList) {
   Encoder e;
   e.PutAttached(Buf::FromString("data"));
   // Decode from the inline bytes only — the attachment was dropped in transit.
-  const std::string inline_only = e.data();
+  const std::string inline_only(e.data());
   Decoder d(inline_only);
   Buf out;
   EXPECT_FALSE(d.GetAttached(&out));

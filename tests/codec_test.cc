@@ -80,7 +80,7 @@ TEST(Codec, TruncatedInputFailsCleanly) {
   Encoder e;
   e.PutU64(42);
   e.PutBytes("hello");
-  const std::string full = e.data();
+  const std::string full(e.data());
   for (size_t cut = 0; cut < full.size(); ++cut) {
     Decoder d(full.data(), cut);
     uint64_t x;
@@ -349,7 +349,7 @@ TEST(MultiRangeCodec, TruncatedResponseFailsCleanly) {
   ShardReadReq req{{ReadRange{3, 2}, ReadRange{9, 1}}, /*wait=*/true};
   Encoder re;
   req.Encode(re);
-  const std::string req_bytes = re.data();
+  const std::string req_bytes(re.data());
   for (size_t cut = 0; cut < req_bytes.size(); ++cut) {
     Decoder d(Buf(req_bytes.substr(0, cut)));
     ShardReadReq back;
@@ -364,7 +364,7 @@ TEST(MultiRangeCodec, TruncatedResponseFailsCleanly) {
   resp.records.push_back(std::move(rec));
   Encoder e;
   resp.Encode(e);
-  const std::string bytes = e.data();
+  const std::string bytes(e.data());
   const std::vector<Buf> atts = e.TakeAtts();
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
     Decoder d(Buf(bytes.substr(0, cut)), atts);

@@ -92,7 +92,7 @@ TEST(KafkaLite, TruncatePropagatesToFollowers) {
   Encoder e;
   e.PutU64(2);
   bool done = false;
-  raw.Call(cluster.leader(0), kKafkaTruncate, e.Take(),
+  raw.Call(cluster.leader(0), kKafkaTruncate, e,
            [&](Status s, Decoder) {
              EXPECT_TRUE(s.ok());
              done = true;

@@ -140,7 +140,8 @@ TEST(Multitenant, QuotaExhaustionMidPipelineWindow) {
   // Tenant isolation: the refusals are the metered log's own doing — an unmetered
   // tenant on the same (idle) cluster appends without friction.
   EXPECT_TRUE(AppendSyncly(cluster.loop(), free_rider, "f0"));
-  const OrdererStats::PerLog* pf = FindLog(cluster.seq_replica(0).StatsSnapshot(), free_id);
+  const OrdererStatsSnapshot free_snap = cluster.seq_replica(0).StatsSnapshot();
+  const OrdererStats::PerLog* pf = FindLog(free_snap, free_id);
   ASSERT_NE(pf, nullptr);
   EXPECT_EQ(pf->quota_rejected, 0u);
 

@@ -83,7 +83,7 @@ class ShardHarness {
     Encoder e;
     msg.Encode(e);
     for (NodeId id : ids_) {
-      client_->Call(id, kShardSetStableGp, e.data(), nullptr, 0);
+      client_->Call(id, kShardSetStableGp, Buf::Copy(e.data()), nullptr, 0);
     }
     loop_.RunUntil(loop_.Now() + 1 * kMs);
   }
@@ -296,7 +296,7 @@ TEST(ShardBlackBox, TrimMakesPrefixUnreadable) {
   Encoder e;
   trim.Encode(e);
   bool done = false;
-  h.client_->Call(h.ids_[0], kShardTrim, e.Take(),
+  h.client_->Call(h.ids_[0], kShardTrim, e,
                   [&](Status s, Decoder) {
                     EXPECT_TRUE(s.ok());
                     done = true;
