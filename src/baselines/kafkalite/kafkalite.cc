@@ -268,8 +268,8 @@ KafkaShardAdapter::KafkaShardAdapter(Network* net, const SimParams& params, Shar
     : endpoint_(net),
       cpu_(net->loop(), CpuParams{.fixed_ns = 500, .copy_bandwidth_bytes_per_sec = 4e9}),
       params_(params), shard_id_(shard_id), kafka_leader_(kafka_leader) {
-  endpoint_.Register(kShardAppendBatch, [this](NodeId, Decoder d, Responder r) {
-    HandleAppendBatch(d, std::move(r));
+  endpoint_.Register(kShardWindow, [this](NodeId, Decoder d, Responder r) {
+    HandleWindow(d, std::move(r));
   });
   endpoint_.Register(kShardRead, [this](NodeId, Decoder d, Responder r) {
     HandleRead(d, std::move(r));
@@ -289,10 +289,10 @@ void KafkaShardAdapter::SendWatermarkAck(Responder& r, const Status& s) {
   r.Send(s, e);
 }
 
-void KafkaShardAdapter::HandleAppendBatch(Decoder d, Responder r) {
-  auto req = std::make_shared<ShardAppendBatchReq>();
-  if (!req->Decode(d)) {
-    r.Send(Status::InvalidArgument("bad append batch"));
+void KafkaShardAdapter::HandleWindow(Decoder d, Responder r) {
+  auto req = std::make_shared<ShardWindowReq>();
+  if (!req->Decode(d, /*meta_body=*/false)) {
+    r.Send(Status::InvalidArgument("bad window"));
     return;
   }
   if (req->view < view_) {
@@ -311,7 +311,7 @@ void KafkaShardAdapter::HandleAppendBatch(Decoder d, Responder r) {
       return;
     }
     // Fully durable retransmit (a lost ack): re-ack so the cursor resynchronizes.
-    if (req->range_hi != 0 && req->range_hi <= order_durable_) {
+    if (req->range_hi <= order_durable_) {
       SendWatermarkAck(r, Status::Ok());
       return;
     }

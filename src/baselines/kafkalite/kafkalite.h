@@ -97,7 +97,7 @@ class KafkaConsumer {
   uint64_t last_known_leo_ = 0;
 };
 
-// Black-box shard adapter: speaks the Erwin-m shard protocol (ordered append batches,
+// Black-box shard adapter: speaks the Erwin-m shard protocol (ordering windows,
 // stable-gp-gated reads, trim, recovery tail-overwrite) and drives a Kafka partition
 // through its public produce/fetch/truncate API — the bolt-on of §4.1/§6.8. Tail
 // overwrites are "delete tail records, then append" exactly as the paper prescribes
@@ -120,11 +120,11 @@ class KafkaShardAdapter {
   // position order (one Kafka produce at a time), so the durable watermark it acks is
   // always a contiguous prefix.
   struct PendingWindow {
-    std::shared_ptr<ShardAppendBatchReq> req;
+    std::shared_ptr<ShardWindowReq> req;
     Responder responder;
   };
 
-  void HandleAppendBatch(Decoder d, Responder r);
+  void HandleWindow(Decoder d, Responder r);
   void HandleRead(Decoder d, Responder r);
   void HandleSetStableGp(Decoder d, Responder r);
   void HandleTrim(Decoder d, Responder r);

@@ -98,8 +98,7 @@ struct SeqParams {
   // ordering tick replenishes every active log's deficit with an equal share of the
   // tick's effective batch budget; once ring occupancy reaches the low watermark, an
   // append from a log with no deficit left is refused kOverloaded while logs within
-  // their share keep being admitted. Disabled = admission stays log-blind.
-  bool tenant_fairness = true;
+  // their share keep being admitted.
   // Deficit accumulation cap, in multiples of the per-tick share: lets a trickling
   // tenant bank a small burst allowance without hoarding unbounded credit.
   uint32_t fairness_burst_quanta = 4;

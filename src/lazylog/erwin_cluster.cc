@@ -19,7 +19,7 @@ ErwinCluster::ErwinCluster(const ErwinClusterOptions& options) : options_(option
     std::vector<NodeId> ids;
     for (uint32_t r = 0; r < options_.shard_replication; ++r) {
       replicas.push_back(std::make_unique<ShardServer>(net_.get(), options_.params, shard_mode,
-                                                       s, options_.num_shards));
+                                                       s));
       ids.push_back(replicas.back()->node_id());
     }
     for (auto& rep : replicas) {
@@ -226,8 +226,7 @@ std::vector<NodeId> ErwinCluster::AddShard() {
   std::vector<NodeId> ids;
   for (uint32_t r = 0; r < options_.shard_replication; ++r) {
     replicas.push_back(std::make_unique<ShardServer>(net_.get(), options_.params,
-                                                     ShardMode::kStModified, s,
-                                                     static_cast<uint32_t>(shards_.size() + 1)));
+                                                     ShardMode::kStModified, s));
     ids.push_back(replicas.back()->node_id());
   }
   for (auto& rep : replicas) {
@@ -259,8 +258,7 @@ NodeId ErwinCluster::ReplaceShardReplica(uint32_t shard, uint32_t replica_index)
   net_->Crash(old_node);
   const ShardMode mode =
       options_.mode == ErwinMode::kM ? ShardMode::kBlackBox : ShardMode::kStModified;
-  auto fresh = std::make_unique<ShardServer>(net_.get(), options_.params, mode, shard,
-                                             static_cast<uint32_t>(shards_.size()));
+  auto fresh = std::make_unique<ShardServer>(net_.get(), options_.params, mode, shard);
   const NodeId new_node = fresh->node_id();
   // Install the replacement in the shard's replica set. The old server object stays
   // alive (inert behind its crashed network node) so its still-scheduled timers cannot

@@ -35,18 +35,17 @@ inline constexpr MethodId kSeqUpdateLogs = 211;    // controller -> replica: log
                                                    // (phylog quota table + tombstones)
 
 // --- storage shards: 300 block ---
-inline constexpr MethodId kShardAppendBatch = 300;   // orderer -> primary: ordered records
-inline constexpr MethodId kShardReplicate = 301;     // primary -> backup
+inline constexpr MethodId kShardWindow = 300;        // orderer -> primary: ordering window
+inline constexpr MethodId kShardReplicate = 301;     // primary -> backup: ordering window
 inline constexpr MethodId kShardRead = 302;          // client read: ranges, gated on stable-gp
 inline constexpr MethodId kShardSetStableGp = 303;   // orderer -> shard
 inline constexpr MethodId kShardPutData = 304;       // Erwin-st client data write (unordered)
-inline constexpr MethodId kShardOrderMeta = 305;     // Erwin-st orderer -> primary: metadata log
 inline constexpr MethodId kShardPosMap = 306;        // Erwin-st client: position->shard lookup
 inline constexpr MethodId kShardTrim = 307;
-inline constexpr MethodId kShardOverwriteTail = 308; // recovery: logically rewrite tail
-inline constexpr MethodId kShardReplicateMeta = 309; // Erwin-st primary -> backup metadata
 inline constexpr MethodId kShardReplicateNoOp = 310; // Erwin-st primary -> backup no-op fix
-inline constexpr MethodId kShardFetchRecord = 311;   // Erwin-st backup -> primary repair
+inline constexpr MethodId kShardFetchRecord = 311;   // Erwin-st replica -> peer: record bound
+                                                     // at a position (backup repair and
+                                                     // promotion back-fill)
 inline constexpr MethodId kShardFetchState = 312;    // replacement replica -> live replica
 inline constexpr MethodId kShardSeal = 313;          // controller -> shard: fence old epochs
 inline constexpr MethodId kShardCopyState = 314;     // controller -> replacement: pull state
@@ -55,9 +54,6 @@ inline constexpr MethodId kShardPromoSeal = 317;     // controller -> replica: f
                                                      // promotion; resp = completeness report
 inline constexpr MethodId kShardPromote = 318;       // controller -> replica: adopt new replica
                                                      // order (order[0] == self => role flip)
-inline constexpr MethodId kShardBackfill = 319;      // new primary -> peer backup: fetch the
-                                                     // record bound at a position (payload
-                                                     // back-fill during promotion handoff)
 
 // --- index tier: 800 block ---
 inline constexpr MethodId kIndexReadNext = 800;      // client -> index node: tag position scan

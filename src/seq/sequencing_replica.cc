@@ -204,7 +204,7 @@ bool SequencingReplica::AdmitQuota(const SeqAppendReq& req) {
 }
 
 void SequencingReplica::ReplenishDeficits() {
-  if (!params_.seq.tenant_fairness || !is_leader()) {
+  if (!is_leader()) {
     return;
   }
   uint64_t active = 0;
@@ -263,8 +263,7 @@ bool SequencingReplica::AdmitAppend(const RecordId& id, LogId log) {
   // the low watermark admission is uncontended and stays log-blind, and a log that owns
   // the whole ring (unordered == occupancy) has no one to be fair to, so a lone tenant
   // is never throttled by fairness — it gets the full hysteresis band, like pre-phylog.
-  if (params_.seq.tenant_fairness && is_leader() &&
-      occupancy >= params_.seq.ring_low_watermark) {
+  if (is_leader() && occupancy >= params_.seq.ring_low_watermark) {
     LogCursor& lc = Cursor(log);
     // unordered counts ring entries, pending_cpu the admitted appends still queued for
     // the CPU charge — together, this log's share of ring_occupancy().
@@ -531,13 +530,11 @@ void SequencingReplica::PumpCursor(size_t s) {
   while (c.in_flight < eff_depth_ && c.next_pos < assigned_gp_) {
     const LogPos lo = c.next_pos;
     const LogPos hi = std::min<LogPos>(assigned_gp_, lo + eff_batch_);
-    Encoder enc;
-    MethodId method;
+    ShardWindowReq req;
+    req.view = view_;
+    req.range_lo = lo;
+    req.range_hi = hi;
     if (mode_ == ErwinMode::kM) {
-      ShardAppendBatchReq req;
-      req.view = view_;
-      req.range_lo = lo;
-      req.range_hi = hi;
       for (LogPos p = lo; p < hi; ++p) {
         const Entry& e = log_[p - ordered_gp_];
         if (e.shard == c.shard) {
@@ -545,21 +542,13 @@ void SequencingReplica::PumpCursor(size_t s) {
               PositionedRecord{p, Record{e.id, e.payload, false, e.tag, e.log}});
         }
       }
-      req.Encode(enc);
-      method = kShardAppendBatch;
     } else {
       // Erwin-st: every shard primary stores the full metadata window (§5.2).
-      ShardOrderMetaReq req;
-      req.view = view_;
-      req.range_lo = lo;
-      req.range_hi = hi;
       req.entries.reserve(hi - lo);
       for (LogPos p = lo; p < hi; ++p) {
         const Entry& e = log_[p - ordered_gp_];
         req.entries.push_back(MetaEntry{p, e.id, e.shard});
       }
-      req.Encode(enc);
-      method = kShardOrderMeta;
     }
     c.next_pos = hi;
     c.in_flight++;
@@ -569,11 +558,11 @@ void SequencingReplica::PumpCursor(size_t s) {
     const SimTime sent_at = endpoint_.loop()->Now();
     // m-mode windows carry the record payloads as attachments: the push shares the
     // ring buffer's backing, it does not re-copy record bytes.
-    endpoint_.Call(shard_primaries_[s], method, enc,
-                   [this, s, epoch, window_view, sent_at](Status st, Decoder body) {
-                     OnWindowAck(s, epoch, window_view, sent_at, st, std::move(body));
-                   },
-                   params_.seq.order_push_timeout_ns);
+    endpoint_.CallMsg(shard_primaries_[s], kShardWindow, req,
+                      [this, s, epoch, window_view, sent_at](Status st, Decoder body) {
+                        OnWindowAck(s, epoch, window_view, sent_at, st, std::move(body));
+                      },
+                      params_.seq.order_push_timeout_ns);
   }
 }
 
@@ -720,45 +709,28 @@ void SequencingReplica::PushBatchToShards(std::vector<Entry> batch, LogPos base_
     });
     done(ok, fenced);
   });
-  if (mode_ == ErwinMode::kM) {
-    std::vector<ShardAppendBatchReq> reqs(n_shards);
-    for (size_t s = 0; s < n_shards; ++s) {
-      reqs[s].view = view;
-      reqs[s].overwrite = true;
-      reqs[s].truncate_from = base_pos;
-      reqs[s].range_lo = base_pos;
-      reqs[s].range_hi = base_pos + batch.size();
-    }
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const LogPos pos = base_pos + i;
-      auto& req = reqs[pos % n_shards];
-      req.records.push_back(PositionedRecord{
+  ShardWindowReq flush;
+  flush.view = view;
+  flush.overwrite = true;
+  flush.truncate_from = base_pos;
+  flush.range_lo = base_pos;
+  flush.range_hi = base_pos + batch.size();
+  // Erwin-m: each shard gets the records it owns. Erwin-st: every shard primary gets the
+  // full ordered metadata segment (§5.2).
+  std::vector<ShardWindowReq> reqs(mode_ == ErwinMode::kM ? n_shards : 1, flush);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const LogPos pos = base_pos + i;
+    if (mode_ == ErwinMode::kM) {
+      reqs[pos % n_shards].records.push_back(PositionedRecord{
           pos,
           Record{batch[i].id, std::move(batch[i].payload), false, batch[i].tag, batch[i].log}});
+    } else {
+      reqs[0].entries.push_back(MetaEntry{pos, batch[i].id, batch[i].shard});
     }
-    for (size_t s = 0; s < n_shards; ++s) {
-      endpoint_.CallMsg(shard_primaries_[s], kShardAppendBatch, reqs[s], gather->Slot(s),
-                        timeout_ns);
-    }
-    return;
   }
-  // Erwin-st: push the full ordered metadata segment to every shard primary (§5.2).
-  ShardOrderMetaReq req;
-  req.view = view;
-  req.overwrite = true;
-  req.truncate_from = base_pos;
-  req.range_lo = base_pos;
-  req.range_hi = base_pos + batch.size();
-  req.entries.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    req.entries.push_back(MetaEntry{base_pos + i, batch[i].id, batch[i].shard});
-  }
-  Encoder enc;
-  req.Encode(enc);
-  const Buf body = enc.TakeBuf();
   for (size_t s = 0; s < n_shards; ++s) {
-    endpoint_.Call(shard_primaries_[s], kShardOrderMeta, body, gather->Slot(s),
-                   timeout_ns);
+    const ShardWindowReq& req = reqs[mode_ == ErwinMode::kM ? s : 0];
+    endpoint_.CallMsg(shard_primaries_[s], kShardWindow, req, gather->Slot(s), timeout_ns);
   }
 }
 

@@ -25,20 +25,43 @@ struct PositionedRecord {
   bool Decode(Decoder& d) { return d.GetU64(&pos) && DecodeRecord(d, &record); }
 };
 
-// Orderer -> shard primary: one ordering window of ordered records (Erwin-m).
-// `range_lo`/`range_hi` delimit the contiguous global-position span this window covers
-// (the shard stores only its owned subset but advances its applied watermark over the
-// whole span). Windows from one orderer cursor cover adjacent, non-overlapping spans;
-// the shard applies them in span order, parking any window that arrives ahead of a gap.
-// `overwrite` is set on the recovery flush, where previously pushed (but unstable) tail
-// entries may be logically rewritten (§4.5).
-struct ShardAppendBatchReq {
+// One metadata entry: global position -> (record id, shard that holds the data).
+struct MetaEntry {
+  static constexpr size_t kMinEncodedSize = 28;  // pos + record id + shard
+  LogPos pos = 0;
+  RecordId id;
+  ShardId shard = 0;
+
+  void Encode(Encoder& e) const {
+    e.PutU64(pos);
+    EncodeRecordId(e, id);
+    e.PutU32(shard);
+  }
+  bool Decode(Decoder& d) {
+    return d.GetU64(&pos) && DecodeRecordId(d, &id) && d.GetU32(&shard);
+  }
+};
+
+// One ordering window: orderer -> shard primary, and primary -> backup. `range_lo`/
+// `range_hi` delimit the contiguous global-position span it covers. Windows from one
+// orderer cursor cover adjacent, non-overlapping spans; the shard applies them in span
+// order, parking any window that arrives ahead of a gap, and advances its applied
+// watermark over the whole span. `overwrite` is set on the recovery flush, where
+// previously pushed (but unstable) tail entries may be logically rewritten (§4.5).
+//
+// The body depends on the design, and the receiver picks it by its own mode:
+// - Erwin-m: `records`, the span's records this shard owns.
+// - Erwin-st: `entries`, the span's full metadata. Every shard stores the whole
+//   position->shard map and binds the positions it owns (§5.2).
+// A window carries at most one non-empty body; an empty body encodes the same either way.
+struct ShardWindowReq {
   ViewId view = 0;
   bool overwrite = false;
   LogPos truncate_from = 0;  // valid when overwrite: drop local entries with pos >= this
   LogPos range_lo = 0;       // first global position covered by this window
   LogPos range_hi = 0;       // one past the last global position covered
-  std::vector<PositionedRecord> records;
+  std::vector<PositionedRecord> records;  // Erwin-m body
+  std::vector<MetaEntry> entries;         // Erwin-st body
 
   void Encode(Encoder& e) const {
     e.PutU64(view);
@@ -46,15 +69,20 @@ struct ShardAppendBatchReq {
     e.PutU64(truncate_from);
     e.PutU64(range_lo);
     e.PutU64(range_hi);
-    e.PutVector(records);
+    if (entries.empty()) {
+      e.PutVector(records);
+    } else {
+      e.PutVector(entries);
+    }
   }
-  bool Decode(Decoder& d) {
+  bool Decode(Decoder& d, bool meta_body) {
     return d.GetU64(&view) && d.GetBool(&overwrite) && d.GetU64(&truncate_from) &&
-           d.GetU64(&range_lo) && d.GetU64(&range_hi) && d.GetVector(&records);
+           d.GetU64(&range_lo) && d.GetU64(&range_hi) &&
+           (meta_body ? d.GetVector(&entries) : d.GetVector(&records));
   }
 };
 
-// Shard -> orderer: ack body for an ordering window (append batch or order meta).
+// Shard -> orderer: ack body for an ordering window.
 // `applied_upto` is the shard's contiguous applied watermark — every position below it
 // has been applied (stored, replicated, persisted). The orderer resyncs a cursor from
 // this value after a retry instead of re-sending the whole batch to every shard.
@@ -173,49 +201,6 @@ struct ShardPutDataReq {
     }
     log = kDefaultLog;
     return (flags & kFlagHasLog) == 0 || d.GetU64(&log);
-  }
-};
-
-// One metadata entry: global position -> (record id, shard that holds the data).
-struct MetaEntry {
-  static constexpr size_t kMinEncodedSize = 28;  // pos + record id + shard
-  LogPos pos = 0;
-  RecordId id;
-  ShardId shard = 0;
-
-  void Encode(Encoder& e) const {
-    e.PutU64(pos);
-    EncodeRecordId(e, id);
-    e.PutU32(shard);
-  }
-  bool Decode(Decoder& d) {
-    return d.GetU64(&pos) && DecodeRecordId(d, &id) && d.GetU32(&shard);
-  }
-};
-
-// Orderer -> every shard primary (Erwin-st): one ordering window of the metadata log.
-// Each primary stores the full position->shard map and binds the positions it owns.
-// Range semantics match ShardAppendBatchReq: windows cover adjacent spans and are
-// applied in span order (out-of-order arrivals park until the gap fills).
-struct ShardOrderMetaReq {
-  ViewId view = 0;
-  bool overwrite = false;
-  LogPos truncate_from = 0;  // valid when overwrite
-  LogPos range_lo = 0;       // first global position covered by this window
-  LogPos range_hi = 0;       // one past the last global position covered
-  std::vector<MetaEntry> entries;
-
-  void Encode(Encoder& e) const {
-    e.PutU64(view);
-    e.PutBool(overwrite);
-    e.PutU64(truncate_from);
-    e.PutU64(range_lo);
-    e.PutU64(range_hi);
-    e.PutVector(entries);
-  }
-  bool Decode(Decoder& d) {
-    return d.GetU64(&view) && d.GetBool(&overwrite) && d.GetU64(&truncate_from) &&
-           d.GetU64(&range_lo) && d.GetU64(&range_hi) && d.GetVector(&entries);
   }
 };
 
@@ -345,7 +330,7 @@ struct TrimMsg {
 
 // Controller -> surviving shard replica: fence the shard for primary promotion under a
 // bumped promotion epoch. While sealed-for-promotion the replica refuses
-// primary-originated traffic (replicate / replicate-meta / replicate-no-op), which keeps
+// primary-originated traffic (window replication and replicate-no-op), which keeps
 // an isolated-but-alive old primary from mutating survivors mid-handoff. The response is
 // the replica's completeness report, from which the controller picks the new primary.
 struct ShardPromoSealReq {
@@ -400,19 +385,11 @@ struct ShardPromoteReq {
   }
 };
 
-// New primary -> peer backup (promotion handoff): fetch whatever the peer has bound at
-// `pos` — a real record or a no-op decision inherited from the dead primary. Unbound or
-// still-pending positions answer UNAVAILABLE and the new primary falls back to its
-// own no-op timer.
-struct ShardBackfillReq {
-  LogPos pos = 0;
-
-  void Encode(Encoder& e) const { e.PutU64(pos); }
-  bool Decode(Decoder& d) { return d.GetU64(&pos); }
-};
-
-// Backup -> primary (Erwin-st): fetch the resolved record bound at `pos` (repairs a
-// backup that never received the data for an unacknowledged append).
+// Shard replica -> peer replica (Erwin-st): fetch whatever the peer has bound at `pos`,
+// a real record or a no-op decision. A backup asks its primary to repair a binding whose
+// data never reached it; a freshly promoted primary asks its peers to back-fill bindings
+// the dead primary left unresolved. Unbound or still-pending positions answer
+// UNAVAILABLE and the asker moves on down its retry ladder.
 struct FetchRecordReq {
   LogPos pos = 0;
 

@@ -26,16 +26,12 @@ void ShardServer::BatchAck::Complete(const Status& s) {
   if (--waits != 0) {
     return;
   }
-  if (!failed && track_span && server != nullptr) {
+  if (!failed) {
     server->OnWindowDurable(span_lo, span_hi);
   }
   if (responder.valid()) {
-    if (server != nullptr) {
-      server->SendWatermarkAck(std::move(responder),
-                               failed ? Status::Internal("shard batch failed") : Status::Ok());
-    } else {
-      responder.Send(failed ? Status::Internal("shard batch failed") : Status::Ok());
-    }
+    server->SendWatermarkAck(std::move(responder),
+                             failed ? Status::Internal("shard batch failed") : Status::Ok());
   }
 }
 
@@ -63,9 +59,6 @@ ShardServer::Admit ShardServer::DecideAdmit(LogPos lo, LogPos hi, bool overwrite
   if (overwrite) {
     return Admit::kApply;  // recovery flush rewrites the tail and resets the frontiers
   }
-  if (hi == 0) {
-    return Admit::kApply;  // legacy window without range info: apply, no span tracking
-  }
   if (hi <= order_durable_) {
     return Admit::kAckDurable;  // fully durable retransmit: re-ack, do not re-apply
   }
@@ -91,25 +84,20 @@ void ShardServer::DrainParkedWindows() {
   while (!parked_.empty() && parked_.begin()->first <= order_applied_) {
     OrderedWindow w = std::move(parked_.begin()->second);
     parked_.erase(parked_.begin());
-    if (w.batch) {
-      ApplyAppendWindow(std::move(w.batch), std::move(w.responder));
-    } else {
-      ApplyMetaWindow(std::move(w.meta), std::move(w.responder), w.primary_path);
-    }
+    ApplyWindow(std::move(w.req), std::move(w.responder));
   }
 }
 
 ShardServer::ShardServer(Network* net, const SimParams& params, ShardMode mode,
-                         ShardId shard_id, uint32_t num_shards)
+                         ShardId shard_id)
     : endpoint_(net),
       cpu_(net->loop(), params.shard_cpu),
       disk_(net->loop(), params.disk),
       params_(params),
       mode_(mode),
-      shard_id_(shard_id),
-      num_shards_(num_shards) {
-  endpoint_.Register(kShardAppendBatch, [this](NodeId, Decoder d, Responder r) {
-    HandleAppendBatch(d, std::move(r));
+      shard_id_(shard_id) {
+  endpoint_.Register(kShardWindow, [this](NodeId, Decoder d, Responder r) {
+    HandleWindow(d, std::move(r));
   });
   endpoint_.Register(kShardReplicate, [this](NodeId from, Decoder d, Responder r) {
     HandleReplicate(from, d, std::move(r));
@@ -122,12 +110,6 @@ ShardServer::ShardServer(Network* net, const SimParams& params, ShardMode mode,
   });
   endpoint_.Register(kShardPutData, [this](NodeId, Decoder d, Responder r) {
     HandlePutData(d, std::move(r));
-  });
-  endpoint_.Register(kShardOrderMeta, [this](NodeId, Decoder d, Responder r) {
-    HandleOrderMeta(d, std::move(r));
-  });
-  endpoint_.Register(kShardReplicateMeta, [this](NodeId from, Decoder d, Responder r) {
-    HandleReplicateMeta(from, d, std::move(r));
   });
   endpoint_.Register(kShardReplicateNoOp, [this](NodeId from, Decoder d, Responder r) {
     HandleReplicateNoOp(from, d, std::move(r));
@@ -156,34 +138,8 @@ ShardServer::ShardServer(Network* net, const SimParams& params, ShardMode mode,
   endpoint_.Register(kShardPromote, [this](NodeId, Decoder d, Responder r) {
     HandlePromote(d, std::move(r));
   });
-  endpoint_.Register(kShardBackfill, [this](NodeId, Decoder d, Responder r) {
-    HandleBackfill(d, std::move(r));
-  });
   endpoint_.Register(kShardFetchRecord, [this](NodeId, Decoder d, Responder r) {
-    FetchRecordReq req;
-    if (!req.Decode(d)) {
-      r.Send(Status::InvalidArgument("bad fetch"));
-      return;
-    }
-    auto it = pos_to_local_.find(req.pos);
-    if (it == pos_to_local_.end()) {
-      r.Send(Status::Unavailable("position not bound yet"));
-      return;
-    }
-    if (pending_.size() > 0) {
-      // If this position is itself still pending at the primary, tell the backup to retry.
-      for (const auto& [id, pb] : pending_) {
-        if (pb.pos == req.pos) {
-          r.Send(Status::Unavailable("still pending"));
-          return;
-        }
-      }
-    }
-    const Record* rec = log_.Get(it->second);
-    LL_CHECK(rec != nullptr, "bound position missing from log");
-    Encoder e;
-    EncodeRecord(e, *rec);
-    r.Ok(e);
+    HandleFetchRecord(d, std::move(r));
   });
   if (mode_ == ShardMode::kStModified) {
     endpoint_.loop()->Schedule(kScrubIntervalNs, [this]() { ScrubOrphans(); });
@@ -265,9 +221,7 @@ void ShardServer::TruncateOrderedFrom(LogPos pos) {
   for (auto it = pending_.begin(); it != pending_.end();) {
     if (it->second.pos >= pos) {
       it->second.timeout.Cancel();
-      if (it->second.batch) {
-        it->second.batch->Complete(Status::Ok());
-      }
+      it->second.batch->Complete(Status::Ok());
       it = pending_.erase(it);
     } else {
       ++it;
@@ -275,12 +229,12 @@ void ShardServer::TruncateOrderedFrom(LogPos pos) {
   }
 }
 
-// --- Erwin-m: ordered batches from the background orderer ----------------------------
+// --- ordering windows from the background orderer --------------------------------------
 
-void ShardServer::HandleAppendBatch(Decoder d, Responder r) {
-  auto req = std::make_shared<ShardAppendBatchReq>();
-  if (!req->Decode(d)) {
-    r.Send(Status::InvalidArgument("bad append batch"));
+void ShardServer::HandleWindow(Decoder d, Responder r) {
+  auto req = std::make_shared<ShardWindowReq>();
+  if (!req->Decode(d, mode_ == ShardMode::kStModified)) {
+    r.Send(Status::InvalidArgument("bad window"));
     return;
   }
   if (FencedOff(req->view)) {
@@ -288,16 +242,31 @@ void ShardServer::HandleAppendBatch(Decoder d, Responder r) {
     return;
   }
   view_ = std::max(view_, req->view);
-  uint64_t bytes = 0;
+  // CPU: record bytes (m) or a fixed size per metadata entry (st).
+  uint64_t bytes = req->entries.size() * params_.seq.metadata_entry_bytes;
   for (const auto& pr : req->records) {
     bytes += pr.record.payload.size();
   }
   cpu_.ExecuteFor(bytes, [this, req, r]() mutable {
-    AdmitAppendWindow(std::move(req), std::move(r));
+    AdmitWindow(std::move(req), std::move(r));
   });
 }
 
-void ShardServer::AdmitAppendWindow(std::shared_ptr<ShardAppendBatchReq> req, Responder r) {
+void ShardServer::HandleReplicate(NodeId from, Decoder d, Responder r) {
+  // Backup side of HandleWindow: the same admission and apply path. A backup does not
+  // replicate, so completion just answers the primary.
+  if (loading_) {
+    r.Send(Status::Unavailable("state copy in progress"));
+    return;
+  }
+  if (RejectPrimaryTraffic(from)) {
+    r.Send(Status::StaleView("fenced: not my primary"));
+    return;
+  }
+  HandleWindow(std::move(d), std::move(r));
+}
+
+void ShardServer::AdmitWindow(std::shared_ptr<ShardWindowReq> req, Responder r) {
   switch (DecideAdmit(req->range_lo, req->range_hi, req->overwrite)) {
     case Admit::kAckDurable:
       stats_.windows_retransmitted++;
@@ -310,7 +279,7 @@ void ShardServer::AdmitAppendWindow(std::shared_ptr<ShardAppendBatchReq> req, Re
         SendWatermarkAck(std::move(it->second.responder),
                          Status::Unavailable("superseded by a newer retry"));
       }
-      it->second = OrderedWindow{std::move(req), nullptr, true, std::move(r)};
+      it->second = OrderedWindow{std::move(req), std::move(r)};
       return;
     }
     case Admit::kOverflow:
@@ -319,35 +288,65 @@ void ShardServer::AdmitAppendWindow(std::shared_ptr<ShardAppendBatchReq> req, Re
     case Admit::kApply:
       break;
   }
-  ApplyAppendWindow(std::move(req), std::move(r));
+  ApplyWindow(std::move(req), std::move(r));
   DrainParkedWindows();
 }
 
-void ShardServer::ApplyAppendWindow(std::shared_ptr<ShardAppendBatchReq> req, Responder r) {
+void ShardServer::ApplyWindow(std::shared_ptr<ShardWindowReq> req, Responder r) {
   auto batch = std::make_shared<BatchAck>();
   batch->server = this;
   batch->responder = std::move(r);
   batch->waits = 1;  // guard until arming completes
+  batch->span_lo = req->range_lo;
+  batch->span_hi = req->range_hi;
   if (req->overwrite) {
+    // Recovery flush: rewrite the unstable tail, metadata and bindings included.
+    if (req->truncate_from >= meta_base_ &&
+        req->truncate_from - meta_base_ < meta_log_.size()) {
+      meta_log_.resize(req->truncate_from - meta_base_);
+    }
     TruncateOrderedFrom(req->truncate_from);
     ResetOrderFrontiersForOverwrite(req->truncate_from, req->range_hi);
-    batch->track_span = true;
     batch->span_lo = std::min(req->truncate_from, req->range_lo);
     batch->span_hi = std::max(req->range_hi, req->truncate_from);
-  } else if (req->range_hi > req->range_lo) {
-    batch->track_span = true;
-    batch->span_lo = req->range_lo;
-    batch->span_hi = req->range_hi;
+  } else {
     order_applied_ = std::max(order_applied_, req->range_hi);
     stats_.windows_applied++;
   }
-  uint64_t bytes2 = 0;
-  for (auto& pr : req->records) {
-    if (!req->overwrite && pos_to_local_.count(pr.pos) > 0) {
-      continue;  // duplicate push from an orderer retry; idempotent
+  // The one mode-specific step: store the records, or extend the metadata log and bind
+  // the positions this shard owns. Re-pushes from orderer retries are skipped.
+  uint64_t stored_bytes = 0;
+  if (mode_ == ShardMode::kStModified) {
+    for (const MetaEntry& entry : req->entries) {
+      if (entry.pos < meta_base_) {
+        continue;  // before this shard joined (runtime-added shard, §6.9)
+      }
+      // Store the position->shard map (every shard keeps the full map; readers use it
+      // to locate records, §5.3).
+      const uint64_t idx = entry.pos - meta_base_;
+      if (idx < meta_log_.size()) {
+        meta_log_[idx] = entry.shard;
+      } else {
+        // A gap can only occur on a runtime-added shard whose bootstrap raced a batch
+        // that was in flight when it joined; those positions predate the shard and hold
+        // no records of ours. Readers resolve them via long-lived shards (§6.9).
+        while (meta_log_.size() < idx) {
+          meta_log_.push_back(UINT32_MAX);
+        }
+        meta_log_.push_back(entry.shard);
+      }
+      if (entry.shard == shard_id_ &&
+          (req->overwrite || pos_to_local_.count(entry.pos) == 0)) {
+        BindPosition(entry, batch);
+      }
     }
-    StoreOrdered(pr.pos, pr.record, req->overwrite);
-    bytes2 += pr.record.payload.size();
+  } else {
+    for (const auto& pr : req->records) {
+      if (req->overwrite || pos_to_local_.count(pr.pos) == 0) {
+        StoreOrdered(pr.pos, pr.record, req->overwrite);
+        stored_bytes += pr.record.payload.size();
+      }
+    }
   }
   // Replicate to backups; each ack releases one wait. Backups run the same admission,
   // so a window reordered in flight parks there until its predecessor lands.
@@ -368,41 +367,13 @@ void ShardServer::ApplyAppendWindow(std::shared_ptr<ShardAppendBatchReq> req, Re
   // Shards are the long-term durable tier: the window ack (and hence GC of the
   // sequencing replicas and the stable-gp advance) waits for the disk write. This is
   // off the append critical path — it only sets the background-ordering cycle length,
-  // which is what makes ordering batches grow with the append rate (Fig 11).
+  // which is what makes ordering batches grow with the append rate (Fig 11). Erwin-st
+  // persists the metadata segment; its bound data already hit the disk on PutData.
   batch->waits++;
-  disk_.Write(bytes2 + req->records.size() * 32,
+  disk_.Write(stored_bytes + req->records.size() * 32 +
+                  req->entries.size() * params_.seq.metadata_entry_bytes,
               [batch]() { batch->Complete(Status::Ok()); });
   batch->Complete(Status::Ok());  // release the arming guard
-}
-
-void ShardServer::HandleReplicate(NodeId from, Decoder d, Responder r) {
-  // Backup side of HandleAppendBatch; same admission + storage path, but completion
-  // responds to the primary instead of arming replication of its own.
-  if (loading_) {
-    r.Send(Status::Unavailable("state copy in progress"));
-    return;
-  }
-  if (RejectPrimaryTraffic(from)) {
-    r.Send(Status::StaleView("fenced: not my primary"));
-    return;
-  }
-  auto req = std::make_shared<ShardAppendBatchReq>();
-  if (!req->Decode(d)) {
-    r.Send(Status::InvalidArgument("bad replicate"));
-    return;
-  }
-  if (FencedOff(req->view)) {
-    r.Send(Status::StaleView("fenced: stale view"));
-    return;
-  }
-  view_ = std::max(view_, req->view);
-  uint64_t bytes = 0;
-  for (const auto& pr : req->records) {
-    bytes += pr.record.payload.size();
-  }
-  cpu_.ExecuteFor(bytes, [this, req, r]() mutable {
-    AdmitAppendWindow(std::move(req), std::move(r));
-  });
 }
 
 // --- Erwin-st: unordered data + ordered metadata --------------------------------------
@@ -446,7 +417,7 @@ void ShardServer::HandlePutData(Decoder d, Responder r) {
   });
 }
 
-bool ShardServer::BindPosition(const MetaEntry& entry, const std::shared_ptr<BatchAck>& batch) {
+void ShardServer::BindPosition(const MetaEntry& entry, const std::shared_ptr<BatchAck>& batch) {
   auto pool_it = pool_.find(entry.id);
   if (pool_it != pool_.end()) {
     StoreOrdered(entry.pos,
@@ -455,79 +426,103 @@ bool ShardServer::BindPosition(const MetaEntry& entry, const std::shared_ptr<Bat
                  false);
     pool_.erase(pool_it);
     pool_arrival_.erase(entry.id);
-    return true;
+    return;
   }
-  if (rejected_.count(entry.id) > 0) {
-    // Already resolved as no-op in a previous view; rebind the no-op.
-    StoreOrdered(entry.pos, Record{entry.id, "", true}, false);
-    return true;
-  }
-  // Data not here yet: bind a placeholder, start the timeout (§5.4). The primary
-  // decides no-op; backups repair by fetching from the primary instead.
+  // Data not here yet: bind a placeholder no-op. A no-op'ed id (resolved in a previous
+  // view) keeps it; otherwise start the timeout (§5.4). The primary decides no-op;
+  // backups repair by fetching from the primary instead.
   StoreOrdered(entry.pos, Record{entry.id, "", true}, false);
+  if (rejected_.count(entry.id) > 0) {
+    return;
+  }
   PendingBinding pb;
   pb.pos = entry.pos;
   pb.local_index = pos_to_local_[entry.pos];
   pb.batch = batch;
-  if (batch) {
-    batch->waits++;
-  }
+  batch->waits++;
   const RecordId id = entry.id;
   if (is_primary()) {
     pb.timeout = endpoint_.loop()->Schedule(params_.seq.st_data_timeout_ns,
                                             [this, id]() { FinalizeNoOp(id); });
   } else {
-    const LogPos pos = entry.pos;
-    pb.timeout = endpoint_.loop()->Schedule(params_.seq.st_data_timeout_ns, [this, id, pos]() {
-      // Ask the primary for the resolved record (data it had, or a no-op decision).
-      FetchRecordReq freq{pos};
-      Encoder e;
-      freq.Encode(e);
-      endpoint_.Call(replicas_.empty() ? kInvalidNode : replicas_[0], kShardFetchRecord,
-                     e.Take(),
-                     [this, id](Status s, Decoder body) {
-                       auto it = pending_.find(id);
-                       if (it == pending_.end()) {
-                         return;  // resolved meanwhile
-                       }
-                       if (!s.ok()) {
-                         // Primary still undecided; retry after another timeout.
-                         const LogPos p2 = it->second.pos;
-                         it->second.timeout = endpoint_.loop()->Schedule(
-                             params_.seq.st_data_timeout_ns, [this, id, p2]() {
-                               Encoder e2;
-                               FetchRecordReq{p2}.Encode(e2);
-                               endpoint_.Call(replicas_[0], kShardFetchRecord, e2,
-                                              [this, id](Status s2, Decoder b2) {
-                                                ApplyFetchedRecord(id, s2, std::move(b2));
-                                              },
-                                              params_.rpc_timeout_ns);
-                             });
-                         return;
-                       }
-                       ApplyFetchedRecord(id, s, std::move(body));
-                     },
-                     params_.rpc_timeout_ns);
-    });
+    pb.timeout = endpoint_.loop()->Schedule(params_.seq.st_data_timeout_ns,
+                                            [this, id]() { FetchPending(id, 0); });
   }
   pending_.emplace(id, std::move(pb));
-  return false;
 }
 
-void ShardServer::ApplyFetchedRecord(const RecordId& id, const Status& s, Decoder d) {
+void ShardServer::FetchPending(const RecordId& id, size_t peer) {
   auto it = pending_.find(id);
-  if (it == pending_.end() || !s.ok()) {
+  if (it == pending_.end()) {
+    return;  // resolved meanwhile
+  }
+  const bool as_primary = is_primary();
+  if (as_primary && peer >= replicas_.size()) {
+    // No peer had it bound; fall back to the normal primary decision timer.
+    it->second.timeout = endpoint_.loop()->Schedule(params_.seq.st_data_timeout_ns,
+                                                    [this, id]() { FinalizeNoOp(id); });
     return;
   }
-  Record rec;
-  if (!DecodeRecord(d, &rec)) {
+  // A primary walks its peers; a backup asks its primary.
+  const size_t ask = as_primary ? peer : 0;
+  const NodeId target = ask < replicas_.size() ? replicas_[ask] : kInvalidNode;
+  Encoder e;
+  FetchRecordReq{it->second.pos}.Encode(e);
+  endpoint_.Call(target, kShardFetchRecord, e,
+                 [this, id, peer, as_primary](Status s, Decoder body) {
+                   auto it = pending_.find(id);
+                   if (it == pending_.end()) {
+                     return;  // resolved meanwhile
+                   }
+                   Record rec;
+                   if (s.ok() && DecodeRecord(body, &rec)) {
+                     if (as_primary) {
+                       stats_.handoff_records_refetched++;
+                     }
+                     if (rec.no_op) {
+                       FinalizeNoOp(id);  // adopt (a primary re-replicates) the decision
+                     } else {
+                       ResolvePendingWithData(id, std::move(rec.payload), rec.tag, rec.log);
+                     }
+                     return;
+                   }
+                   if (is_primary() != as_primary) {
+                     return;  // promoted or deposed since; the other ladder owns it now
+                   }
+                   if (as_primary) {
+                     FetchPending(id, peer + 1);
+                     return;
+                   }
+                   // The primary is undecided or unreachable; ask again after another
+                   // timeout, for as long as the binding stays pending.
+                   it->second.timeout = endpoint_.loop()->Schedule(
+                       params_.seq.st_data_timeout_ns, [this, id]() { FetchPending(id, 0); });
+                 },
+                 params_.rpc_timeout_ns);
+}
+
+void ShardServer::HandleFetchRecord(Decoder d, Responder r) {
+  FetchRecordReq req;
+  if (!req.Decode(d)) {
+    r.Send(Status::InvalidArgument("bad fetch"));
     return;
   }
-  if (rec.no_op) {
-    FinalizeNoOp(id);
+  auto it = pos_to_local_.find(req.pos);
+  if (it == pos_to_local_.end()) {
+    r.Send(Status::Unavailable("position not bound yet"));
     return;
   }
-  ResolvePendingWithData(id, std::move(rec.payload), rec.tag, rec.log);
+  for (const auto& [id, pb] : pending_) {
+    if (pb.pos == req.pos) {
+      r.Send(Status::Unavailable("still pending"));
+      return;
+    }
+  }
+  const Record* rec = log_.Get(it->second);
+  LL_CHECK(rec != nullptr, "bound position missing from log");
+  Encoder e;
+  EncodeRecord(e, *rec);
+  r.Ok(e);
 }
 
 void ShardServer::ResolvePendingWithData(const RecordId& id, Buf payload, StreamTag tag,
@@ -536,9 +531,7 @@ void ShardServer::ResolvePendingWithData(const RecordId& id, Buf payload, Stream
   LL_CHECK(it != pending_.end(), "resolving non-pending binding");
   it->second.timeout.Cancel();
   log_.Overwrite(it->second.local_index, Record{id, std::move(payload), false, tag, log});
-  if (it->second.batch) {
-    it->second.batch->Complete(Status::Ok());
-  }
+  it->second.batch->Complete(Status::Ok());
   pending_.erase(it);
   AdvanceTagIndex();  // a pending binding may have been capping the journal frontier
 }
@@ -553,9 +546,7 @@ void ShardServer::FinalizeNoOp(const RecordId& id) {
   log_.Overwrite(it->second.local_index, Record{id, "", true});
   rejected_.insert(id);
   stats_.noops_created++;
-  if (it->second.batch) {
-    it->second.batch->Complete(Status::Ok());
-  }
+  it->second.batch->Complete(Status::Ok());
   pending_.erase(it);
   AdvanceTagIndex();
   if (is_primary()) {
@@ -591,146 +582,6 @@ void ShardServer::SendReplicateNoOp(NodeId backup, NoOpMsg msg) {
                  params_.rpc_timeout_ns);
 }
 
-void ShardServer::HandleOrderMeta(Decoder d, Responder r) {
-  auto req = std::make_shared<ShardOrderMetaReq>();
-  if (!req->Decode(d)) {
-    r.Send(Status::InvalidArgument("bad order meta"));
-    return;
-  }
-  if (FencedOff(req->view)) {
-    r.Send(Status::StaleView("fenced: stale orderer view"));
-    return;
-  }
-  view_ = std::max(view_, req->view);
-  cpu_.ExecuteFor(req->entries.size() * params_.seq.metadata_entry_bytes,
-                  [this, req, r]() mutable {
-                    AdmitMetaWindow(std::move(req), std::move(r), /*primary_path=*/true);
-                  });
-}
-
-void ShardServer::HandleReplicateMeta(NodeId from, Decoder d, Responder r) {
-  if (loading_) {
-    r.Send(Status::Unavailable("state copy in progress"));
-    return;
-  }
-  if (RejectPrimaryTraffic(from)) {
-    r.Send(Status::StaleView("fenced: not my primary"));
-    return;
-  }
-  auto req = std::make_shared<ShardOrderMetaReq>();
-  if (!req->Decode(d)) {
-    r.Send(Status::InvalidArgument("bad replicate meta"));
-    return;
-  }
-  if (FencedOff(req->view)) {
-    r.Send(Status::StaleView("fenced: stale view"));
-    return;
-  }
-  view_ = std::max(view_, req->view);
-  cpu_.ExecuteFor(req->entries.size() * params_.seq.metadata_entry_bytes,
-                  [this, req, r]() mutable {
-                    AdmitMetaWindow(std::move(req), std::move(r), /*primary_path=*/false);
-                  });
-}
-
-void ShardServer::AdmitMetaWindow(std::shared_ptr<ShardOrderMetaReq> req, Responder r,
-                                  bool primary_path) {
-  switch (DecideAdmit(req->range_lo, req->range_hi, req->overwrite)) {
-    case Admit::kAckDurable:
-      stats_.windows_retransmitted++;
-      SendWatermarkAck(std::move(r), Status::Ok());
-      return;
-    case Admit::kPark: {
-      stats_.windows_parked++;
-      auto [it, inserted] = parked_.try_emplace(req->range_lo);
-      if (!inserted) {
-        SendWatermarkAck(std::move(it->second.responder),
-                         Status::Unavailable("superseded by a newer retry"));
-      }
-      it->second = OrderedWindow{nullptr, std::move(req), primary_path, std::move(r)};
-      return;
-    }
-    case Admit::kOverflow:
-      SendWatermarkAck(std::move(r), Status::Unavailable("parked window overflow"));
-      return;
-    case Admit::kApply:
-      break;
-  }
-  ApplyMetaWindow(std::move(req), std::move(r), primary_path);
-  DrainParkedWindows();
-}
-
-void ShardServer::ApplyMetaWindow(std::shared_ptr<ShardOrderMetaReq> req_ptr, Responder r,
-                                  bool primary_path) {
-  const ShardOrderMetaReq& req = *req_ptr;
-  auto batch = std::make_shared<BatchAck>();
-  batch->server = this;
-  batch->responder = std::move(r);
-  batch->waits = 1;
-  if (req.overwrite) {
-    // Recovery flush: rewrite the unstable metadata tail and any bindings in it.
-    if (req.truncate_from >= meta_base_ &&
-        req.truncate_from - meta_base_ < meta_log_.size()) {
-      meta_log_.resize(req.truncate_from - meta_base_);
-    }
-    TruncateOrderedFrom(req.truncate_from);
-    ResetOrderFrontiersForOverwrite(req.truncate_from, req.range_hi);
-    batch->track_span = true;
-    batch->span_lo = std::min(req.truncate_from, req.range_lo);
-    batch->span_hi = std::max(req.range_hi, req.truncate_from);
-  } else if (req.range_hi > req.range_lo) {
-    batch->track_span = true;
-    batch->span_lo = req.range_lo;
-    batch->span_hi = req.range_hi;
-    order_applied_ = std::max(order_applied_, req.range_hi);
-    stats_.windows_applied++;
-  }
-  uint64_t bound_bytes = 0;
-  for (const MetaEntry& entry : req.entries) {
-    if (entry.pos < meta_base_) {
-      continue;  // before this shard joined (runtime-added shard, §6.9)
-    }
-    // Store the position->shard map (every shard keeps the full map; readers use it to
-    // locate records, §5.3).
-    const uint64_t idx = entry.pos - meta_base_;
-    if (idx < meta_log_.size()) {
-      meta_log_[idx] = entry.shard;
-    } else {
-      // A gap can only occur on a runtime-added shard whose bootstrap raced a batch
-      // that was in flight when it joined; those positions predate the shard and hold
-      // no records of ours. Readers resolve them via long-lived shards (§6.9).
-      while (meta_log_.size() < idx) {
-        meta_log_.push_back(UINT32_MAX);
-      }
-      meta_log_.push_back(entry.shard);
-    }
-    if (entry.shard == shard_id_) {
-      if (pos_to_local_.count(entry.pos) > 0 && !req.overwrite) {
-        continue;  // duplicate push (orderer retry)
-      }
-      BindPosition(entry, batch);
-      const Record* rec = RecordAt(entry.pos);
-      bound_bytes += rec != nullptr ? rec->payload.size() : 0;
-    }
-  }
-  if (primary_path && is_primary()) {
-    Encoder enc;
-    req.Encode(enc);
-    const Buf body = enc.TakeBuf();
-    for (size_t i = 1; i < replicas_.size(); ++i) {
-      batch->waits++;
-      endpoint_.Call(replicas_[i], kShardReplicateMeta, body,
-                     [batch](Status s, Decoder) { batch->Complete(s); },
-                     params_.rpc_timeout_ns);
-    }
-  }
-  // Persist the metadata log segment; bound data already hit the disk on PutData.
-  batch->waits++;
-  disk_.Write(req.entries.size() * params_.seq.metadata_entry_bytes,
-              [batch]() { batch->Complete(Status::Ok()); });
-  batch->Complete(Status::Ok());
-}
-
 // --- reads, stable-gp, trim -----------------------------------------------------------
 
 void ShardServer::HandleReplicateNoOp(NodeId from, Decoder d, Responder r) {
@@ -752,9 +603,7 @@ void ShardServer::HandleReplicateNoOp(NodeId from, Decoder d, Responder r) {
   if (pending_it != pending_.end()) {
     pending_it->second.timeout.Cancel();
     log_.Overwrite(pending_it->second.local_index, Record{msg.id, "", true});
-    if (pending_it->second.batch) {
-      pending_it->second.batch->Complete(Status::Ok());
-    }
+    pending_it->second.batch->Complete(Status::Ok());
     pending_.erase(pending_it);
     stats_.noops_created++;
     AdvanceTagIndex();
@@ -1004,8 +853,7 @@ void ShardServer::HandleSeal(Decoder d, Responder r) {
   // Parked windows were stamped by the now-deposed orderer; reject them mid-pipeline so
   // their cursors self-seal instead of waiting out a timeout against a dead leader.
   for (auto it = parked_.begin(); it != parked_.end();) {
-    const ViewId wv = it->second.batch ? it->second.batch->view : it->second.meta->view;
-    if (wv < view_) {
+    if (it->second.req->view < view_) {
       SendWatermarkAck(std::move(it->second.responder),
                        Status::StaleView("fenced: parked window from sealed view"));
       it = parked_.erase(it);
@@ -1260,9 +1108,9 @@ void ShardServer::PromoteToPrimary(const ShardPromoteReq& req) {
     }
   }
   // Take over no-op timer ownership: our pending bindings still run backup fetch
-  // timers aimed at the dead primary. Cancel each, try peer back-fill first (a peer
-  // may hold the data, or the old primary's no-op decision may have reached it), and
-  // only then fall back to the primary-side no-op timeout.
+  // timers aimed at the dead primary. Cancel each and move it to the promoted ladder:
+  // try peer back-fill first (a peer may hold the data, or the old primary's no-op
+  // decision may have reached it), and only then fall back to the no-op timeout.
   std::vector<RecordId> pending_ids;
   pending_ids.reserve(pending_.size());
   for (const auto& [id, pb] : pending_) {
@@ -1274,7 +1122,7 @@ void ShardServer::PromoteToPrimary(const ShardPromoteReq& req) {
       continue;
     }
     it->second.timeout.Cancel();
-    BackfillPending(id, 1);
+    FetchPending(id, 1);
   }
 }
 
@@ -1287,13 +1135,11 @@ void ShardServer::CatchUpPeer(NodeId peer, LogPos from, uint32_t attempt) {
   if (from >= order_applied_) {
     return;
   }
-  Encoder e;
-  uint64_t entries = 0;
+  ShardWindowReq w;
+  w.view = view_;
+  w.range_lo = from;
+  w.range_hi = order_applied_;
   if (mode_ == ShardMode::kStModified) {
-    ShardOrderMetaReq w;
-    w.view = view_;
-    w.range_lo = from;
-    w.range_hi = order_applied_;
     // Owned positions need their record ids (the peer binds them); still-pending ones
     // are keyed by id on our side, so invert to pos -> id for the unresolved tail.
     std::unordered_map<LogPos, RecordId> pending_by_pos;
@@ -1321,13 +1167,7 @@ void ShardServer::CatchUpPeer(NodeId peer, LogPos from, uint32_t attempt) {
       }
       w.entries.push_back(entry);
     }
-    entries = w.entries.size();
-    w.Encode(e);
   } else {
-    ShardAppendBatchReq w;
-    w.view = view_;
-    w.range_lo = from;
-    w.range_hi = order_applied_;
     auto it = std::lower_bound(local_pos_.begin(), local_pos_.end(), from);
     for (; it != local_pos_.end() && *it < order_applied_; ++it) {
       const uint64_t local =
@@ -1337,82 +1177,21 @@ void ShardServer::CatchUpPeer(NodeId peer, LogPos from, uint32_t attempt) {
         w.records.push_back(PositionedRecord{*it, *rec});
       }
     }
-    entries = w.records.size();
-    w.Encode(e);
   }
   if (attempt == 0) {
-    stats_.handoff_records_refetched += entries;
+    stats_.handoff_records_refetched += w.records.size() + w.entries.size();
   }
-  const MethodId method =
-      mode_ == ShardMode::kStModified ? kShardReplicateMeta : kShardReplicate;
-  endpoint_.Call(peer, method, e,
-                 [this, peer, from, attempt](Status s, Decoder) {
-                   if (s.ok() || attempt >= 4) {
-                     return;  // a peer that stays unreachable gets its own replacement
-                   }
-                   endpoint_.loop()->Schedule(params_.seq.order_retry_backoff_ns,
-                                              [this, peer, from, attempt]() {
-                                                CatchUpPeer(peer, from, attempt + 1);
-                                              });
-                 },
-                 params_.rpc_timeout_ns);
-}
-
-void ShardServer::BackfillPending(RecordId id, size_t peer_index) {
-  auto it = pending_.find(id);
-  if (it == pending_.end() || !is_primary()) {
-    return;  // resolved meanwhile, or we were deposed again
-  }
-  if (peer_index >= replicas_.size()) {
-    // No peer had it bound; fall back to the normal primary decision timer.
-    it->second.timeout = endpoint_.loop()->Schedule(params_.seq.st_data_timeout_ns,
-                                                    [this, id]() { FinalizeNoOp(id); });
-    return;
-  }
-  Encoder e;
-  ShardBackfillReq{it->second.pos}.Encode(e);
-  endpoint_.Call(replicas_[peer_index], kShardBackfill, e,
-                 [this, id, peer_index](Status s, Decoder body) {
-                   if (pending_.find(id) == pending_.end()) {
-                     return;
-                   }
-                   Record rec;
-                   if (!s.ok() || !DecodeRecord(body, &rec)) {
-                     BackfillPending(id, peer_index + 1);
-                     return;
-                   }
-                   stats_.handoff_records_refetched++;
-                   if (rec.no_op) {
-                     FinalizeNoOp(id);  // adopt (and re-replicate) the peer's decision
-                   } else {
-                     ResolvePendingWithData(id, std::move(rec.payload), rec.tag, rec.log);
-                   }
-                 },
-                 params_.rpc_timeout_ns);
-}
-
-void ShardServer::HandleBackfill(Decoder d, Responder r) {
-  ShardBackfillReq req;
-  if (!req.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad backfill"));
-    return;
-  }
-  auto it = pos_to_local_.find(req.pos);
-  if (it == pos_to_local_.end()) {
-    r.Send(Status::Unavailable("position not bound here"));
-    return;
-  }
-  for (const auto& [id, pb] : pending_) {
-    if (pb.pos == req.pos) {
-      r.Send(Status::Unavailable("still pending here too"));
-      return;
-    }
-  }
-  const Record* rec = log_.Get(it->second);
-  LL_CHECK(rec != nullptr, "bound position missing from log");
-  Encoder e;
-  EncodeRecord(e, *rec);
-  r.Ok(e);
+  endpoint_.CallMsg(peer, kShardReplicate, w,
+                    [this, peer, from, attempt](Status s, Decoder) {
+                      if (s.ok() || attempt >= 4) {
+                        return;  // a peer that stays unreachable gets its own replacement
+                      }
+                      endpoint_.loop()->Schedule(params_.seq.order_retry_backoff_ns,
+                                                 [this, peer, from, attempt]() {
+                                                   CatchUpPeer(peer, from, attempt + 1);
+                                                 });
+                    },
+                    params_.rpc_timeout_ns);
 }
 
 // --- stats surface --------------------------------------------------------------------

@@ -63,8 +63,7 @@ struct ShardStatsSnapshot {
 
 class ShardServer {
  public:
-  ShardServer(Network* net, const SimParams& params, ShardMode mode, ShardId shard_id,
-              uint32_t num_shards);
+  ShardServer(Network* net, const SimParams& params, ShardMode mode, ShardId shard_id);
 
   NodeId node_id() const { return endpoint_.node_id(); }
   ShardId shard_id() const { return shard_id_; }
@@ -122,13 +121,13 @@ class ShardServer {
     ShardReadReq req;
     Responder responder;
   };
-  // A position bound before its data arrived (Erwin-st); resolved by data arrival,
-  // timeout (no-op), or a fetch from the primary (backup side).
+  // A position bound before its data arrived (Erwin-st); resolved by data arrival, the
+  // primary's no-op timeout, or the fetch ladder (FetchPending).
   struct PendingBinding {
     LogPos pos = 0;
     uint64_t local_index = 0;
     EventHandle timeout;
-    std::shared_ptr<BatchAck> batch;  // primary: the orderer ack this gates
+    std::shared_ptr<BatchAck> batch;  // the window ack this binding holds open
   };
 
   // Tracks one in-flight ordered window: responds to the orderer once replication,
@@ -141,31 +140,27 @@ class ShardServer {
     Responder responder;
     int waits = 0;
     bool failed = false;
-    bool track_span = false;
     LogPos span_lo = 0;
     LogPos span_hi = 0;
-    void Arm(int n) { waits += n; }
     void Complete(const Status& s);
   };
 
   // An ordering window parked because it arrived ahead of a gap in the span stream
-  // (pipelined cursors can reorder in flight). Exactly one of batch/meta is set.
+  // (pipelined cursors can reorder in flight).
   struct OrderedWindow {
-    std::shared_ptr<ShardAppendBatchReq> batch;  // Erwin-m payload
-    std::shared_ptr<ShardOrderMetaReq> meta;     // Erwin-st payload
-    bool primary_path = false;
+    std::shared_ptr<ShardWindowReq> req;
     Responder responder;
   };
 
   // Handlers.
-  void HandleAppendBatch(Decoder d, Responder r);   // orderer -> primary (Erwin-m)
+  void HandleWindow(Decoder d, Responder r);        // orderer -> primary
   void HandleReplicate(NodeId from, Decoder d, Responder r);  // primary -> backup
   void HandleRead(Decoder d, Responder r);          // the one read verb (ShardReadReq)
   void HandleSetStableGp(Decoder d, Responder r);
   void HandlePutData(Decoder d, Responder r);       // client -> replica (Erwin-st)
-  void HandleOrderMeta(Decoder d, Responder r);     // orderer -> primary (Erwin-st)
-  void HandleReplicateMeta(NodeId from, Decoder d, Responder r);  // primary -> backup
   void HandleReplicateNoOp(NodeId from, Decoder d, Responder r);  // primary -> backup
+  // Peer fetch: answer with whatever is bound at a position (record or no-op).
+  void HandleFetchRecord(Decoder d, Responder r);
   void HandlePosMap(Decoder d, Responder r);
   void HandleIndexDelta(Decoder d, Responder r);  // index node -> primary: tag index pull
   void HandleTrim(Decoder d, Responder r);
@@ -181,18 +176,18 @@ class ShardServer {
   // Adopt the promoted replica order; a receiver that finds itself first runs the full
   // role flip (PromoteToPrimary), everyone else just re-points at the new primary.
   void HandlePromote(Decoder d, Responder r);
-  // Peer back-fill: answer with whatever is bound at a position (record or no-op).
-  void HandleBackfill(Decoder d, Responder r);
   // The backup -> primary role flip: catch lagging peers up to our contiguous applied
-  // frontier (metadata windows in st mode, record windows in m mode), convert our own
-  // backup fetch timers into primary no-op timers (after trying peer back-fill), and
-  // take over no-op timer ownership.
+  // frontier, move our pending bindings from the backup fetch ladder onto the promoted
+  // one (peer back-fill, then the primary no-op timer), and take over no-op timer
+  // ownership.
   void PromoteToPrimary(const ShardPromoteReq& req);
   // Ships [from, order_applied_) to one lagging peer as a replication window.
   void CatchUpPeer(NodeId peer, LogPos from, uint32_t attempt);
-  // Tries to resolve one pending binding from peer backups (index into replicas_);
-  // exhausting the peers falls back to the primary no-op timeout.
-  void BackfillPending(RecordId id, size_t peer_index);
+  // The fetch ladder: resolves one pending binding from a peer's copy. A backup asks its
+  // current primary and, on failure, retries after st_data_timeout_ns until the binding
+  // resolves. A primary (freshly promoted) asks replicas_[peer] and on failure moves to
+  // the next peer; past the last peer it falls back to the no-op timer.
+  void FetchPending(const RecordId& id, size_t peer);
   // True for primary-originated traffic that must be refused: we are sealed for an
   // in-flight promotion, or the sender is not our current primary (a deposed, possibly
   // isolated, old primary).
@@ -205,13 +200,11 @@ class ShardServer {
   // Windows cover adjacent global-position spans and must be applied in span order
   // (StoreOrdered requires ascending positions). Admission acks fully durable
   // retransmits immediately, parks ahead-of-gap arrivals, applies in-order windows,
-  // and then drains any parked successors.
-  void AdmitAppendWindow(std::shared_ptr<ShardAppendBatchReq> req, Responder r);
-  void AdmitMetaWindow(std::shared_ptr<ShardOrderMetaReq> req, Responder r,
-                       bool primary_path);
-  void ApplyAppendWindow(std::shared_ptr<ShardAppendBatchReq> req, Responder r);
-  void ApplyMetaWindow(std::shared_ptr<ShardOrderMetaReq> req, Responder r,
-                       bool primary_path);
+  // and then drains any parked successors. Both roles and both modes share this path.
+  void AdmitWindow(std::shared_ptr<ShardWindowReq> req, Responder r);
+  // Stores the window's records (m) or extends the metadata log and binds the owned
+  // positions (st); a primary then replicates the window to its backups.
+  void ApplyWindow(std::shared_ptr<ShardWindowReq> req, Responder r);
   void DrainParkedWindows();
   // Folds a durably completed span into completed_spans_ and advances order_durable_
   // over the contiguous prefix.
@@ -219,8 +212,8 @@ class ShardServer {
   // Responds with `s` plus a ShardOrderAckResp carrying the durable watermark (error
   // responses deliver the body too, so the orderer resyncs even on failure).
   void SendWatermarkAck(Responder r, const Status& s);
-  // Shared admission decision for both window kinds. kApply also covers re-applies of
-  // applied-but-not-yet-durable retransmits (idempotent via pos_to_local_).
+  // The admission decision. kApply also covers re-applies of applied-but-not-yet-durable
+  // retransmits (idempotent via pos_to_local_).
   enum class Admit { kApply, kAckDurable, kPark, kOverflow };
   Admit DecideAdmit(LogPos lo, LogPos hi, bool overwrite) const;
   // Flush/overwrite windows reset the ordering frontiers: the unstable tail is being
@@ -232,16 +225,14 @@ class ShardServer {
   // Truncates everything with position >= pos (recovery overwrite path).
   void TruncateOrderedFrom(LogPos pos);
   // Erwin-st: binds position -> record data from the unordered pool, or parks a
-  // PendingBinding. Returns true if immediately resolved.
-  bool BindPosition(const MetaEntry& entry, const std::shared_ptr<BatchAck>& batch);
+  // PendingBinding that holds one wait on `batch`.
+  void BindPosition(const MetaEntry& entry, const std::shared_ptr<BatchAck>& batch);
   void ResolvePendingWithData(const RecordId& id, Buf payload, StreamTag tag, LogId log);
   void FinalizeNoOp(const RecordId& id);
   // Replicates a primary no-op decision to one backup, retrying until acked: a backup
   // whose data copy arrived binds the real record, and a dropped no-op would leave the
   // replicas permanently disagreeing on the binding.
   void SendReplicateNoOp(NodeId backup, NoOpMsg msg);
-  // Backup repair: applies a record fetched from the primary to a pending binding.
-  void ApplyFetchedRecord(const RecordId& id, const Status& s, Decoder d);
 
   void ServeRead(const ShardReadReq& req, Responder r);
   // Stamps a read reply with this replica's stable/durable tails and current CPU
@@ -260,7 +251,6 @@ class ShardServer {
   SimParams params_;
   ShardMode mode_;
   ShardId shard_id_;
-  uint32_t num_shards_;
   std::vector<NodeId> replicas_;
 
   ViewId view_ = 0;

@@ -100,15 +100,16 @@ TEST(Codec, LengthPrefixBeyondBufferRejected) {
   EXPECT_FALSE(d.GetBytes(&s));
 }
 
-template <typename T>
-void ExpectRoundTrip(const T& msg) {
+// `decode_args` go to Decode after the decoder (a window's body selector).
+template <typename T, typename... DecodeArgs>
+void ExpectRoundTrip(const T& msg, DecodeArgs... decode_args) {
   Encoder e;
   msg.Encode(e);
   std::vector<Buf> atts = e.TakeAtts();
   const Buf body = e.TakeBuf();
   Decoder d(body, atts);
   T out;
-  ASSERT_TRUE(out.Decode(d));
+  ASSERT_TRUE(out.Decode(d, decode_args...));
   // Re-encoding the decoded message must reproduce the inline bytes and every
   // attachment byte-for-byte.
   Encoder e2;
@@ -264,21 +265,21 @@ TEST(Codec, IndexReadNextRespLengthMismatchRejected) {
 }
 
 TEST(Codec, ShardMessagesRoundTrip) {
-  ShardAppendBatchReq batch;
+  ShardWindowReq batch;
   batch.view = 3;
   batch.overwrite = true;
   batch.truncate_from = 17;
   batch.records.push_back(PositionedRecord{5, Record{RecordId{1, 2}, "abc", false}});
   batch.records.push_back(PositionedRecord{8, Record{RecordId{1, 3}, "", true}});
-  ExpectRoundTrip(batch);
+  ExpectRoundTrip(batch, /*meta_body=*/false);
 
   ShardPutDataReq put{RecordId{9, 10}, "data"};
   ExpectRoundTrip(put);
 
-  ShardOrderMetaReq meta;
+  ShardWindowReq meta;
   meta.view = 1;
   meta.entries.push_back(MetaEntry{0, RecordId{1, 1}, 2});
-  ExpectRoundTrip(meta);
+  ExpectRoundTrip(meta, /*meta_body=*/true);
 
   ShardPosMapReq pm{100, 50};
   ExpectRoundTrip(pm);
@@ -291,6 +292,59 @@ TEST(Codec, ShardMessagesRoundTrip) {
   ExpectRoundTrip(TrimMsg{55});
   ExpectRoundTrip(FetchRecordReq{7});
   ExpectRoundTrip(NoOpMsg{3, RecordId{4, 5}});
+}
+
+std::string Hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 0xf];
+  }
+  return out;
+}
+
+// Both window bodies keep the exact frames the two former window messages had (one for
+// Erwin-m records, one for Erwin-st metadata); the hex was captured from those encoders.
+TEST(Codec, WindowFramesMatchFormerMessages) {
+  ShardWindowReq m;
+  m.view = 3;
+  m.overwrite = true;
+  m.truncate_from = 17;
+  m.range_lo = 17;
+  m.range_hi = 21;
+  m.records.push_back(PositionedRecord{17, Record{RecordId{1, 2}, "abc", false}});
+  m.records.push_back(PositionedRecord{20, Record{RecordId{1, 3}, "", true, 42}});
+  Encoder em;
+  m.Encode(em);
+  const std::vector<Buf> atts = em.TakeAtts();
+  EXPECT_EQ(Hex(em.TakeBuf().ToString()),
+            "0300000000000000011100000000000000110000000000000015000000000000000200000011"
+            "0000000000000001000000000000000200000000000000030000000014000000000000000100"
+            "000000000000030000000000000000000000032a00000000000000");
+  ASSERT_EQ(atts.size(), 1u);
+  EXPECT_EQ(atts[0].ToString(), "abc");
+
+  ShardWindowReq st;
+  st.view = 2;
+  st.range_lo = 8;
+  st.range_hi = 10;
+  st.entries.push_back(MetaEntry{8, RecordId{5, 6}, 1});
+  st.entries.push_back(MetaEntry{9, RecordId{7, 8}, 0});
+  Encoder es;
+  st.Encode(es);
+  EXPECT_TRUE(es.TakeAtts().empty());
+  EXPECT_EQ(Hex(es.TakeBuf().ToString()),
+            "020000000000000000000000000000000008000000000000000a0000000000000002000000080000"
+            "00000000000500000000000000060000000000000001000000090000000000000007000000000000"
+            "00080000000000000000000000");
+
+  // An empty window has the same frame whichever body the receiver expects.
+  ShardWindowReq empty;
+  empty.range_lo = 4;
+  empty.range_hi = 6;
+  ExpectRoundTrip(empty, /*meta_body=*/false);
+  ExpectRoundTrip(empty, /*meta_body=*/true);
 }
 
 // The one shard read verb: a list of ranges plus the wait flag, answered with per-range
@@ -422,7 +476,7 @@ class CodecFuzz : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CodecFuzz, RandomBatchRoundTrip) {
   Rng rng(GetParam());
-  ShardAppendBatchReq batch;
+  ShardWindowReq batch;
   batch.view = rng.Next();
   batch.overwrite = rng.Chance(0.5);
   batch.truncate_from = rng.Next();
@@ -437,8 +491,8 @@ TEST_P(CodecFuzz, RandomBatchRoundTrip) {
   Encoder e;
   batch.Encode(e);
   Decoder d(e.TakeBuf(), e.TakeAtts());
-  ShardAppendBatchReq out;
-  ASSERT_TRUE(out.Decode(d));
+  ShardWindowReq out;
+  ASSERT_TRUE(out.Decode(d, /*meta_body=*/false));
   ASSERT_EQ(out.records.size(), batch.records.size());
   for (size_t i = 0; i < n; ++i) {
     EXPECT_EQ(out.records[i].pos, batch.records[i].pos);
@@ -455,8 +509,8 @@ TEST_P(CodecFuzz, RandomBytesNeverCrashDecoders) {
   // None of these may crash; failure is fine.
   {
     Decoder d(junk);
-    ShardAppendBatchReq m;
-    (void)m.Decode(d);
+    ShardWindowReq m;
+    (void)m.Decode(d, /*meta_body=*/false);
   }
   {
     Decoder d(junk);
@@ -465,8 +519,8 @@ TEST_P(CodecFuzz, RandomBytesNeverCrashDecoders) {
   }
   {
     Decoder d(junk);
-    ShardOrderMetaReq m;
-    (void)m.Decode(d);
+    ShardWindowReq m;
+    (void)m.Decode(d, /*meta_body=*/true);
   }
   {
     Decoder d(junk);

@@ -1,7 +1,7 @@
 // ShardServer tests, driven over the wire: black-box mode (ordered batches,
 // replication, stable-gp gating, slow-path wakeup, trim, recovery overwrite) and
 // Erwin-st mode (unordered puts, metadata binding, no-op timeout, late-put rejection,
-// position map, backup repair).
+// position map, backup repair, promotion back-fill).
 #include <gtest/gtest.h>
 
 #include "src/storage/shard_server.h"
@@ -14,9 +14,7 @@ class ShardHarness {
  public:
   ShardHarness(ShardMode mode, uint32_t replicas = 2) : net_(&loop_, params_.net, 1) {
     for (uint32_t r = 0; r < replicas; ++r) {
-      servers_.push_back(
-          std::make_unique<ShardServer>(&net_, params_, mode, /*shard_id=*/0,
-                                        /*num_shards=*/1));
+      servers_.push_back(std::make_unique<ShardServer>(&net_, params_, mode, /*shard_id=*/0));
       ids_.push_back(servers_.back()->node_id());
     }
     for (auto& s : servers_) {
@@ -25,36 +23,41 @@ class ShardHarness {
     client_ = std::make_unique<RpcEndpoint>(&net_);
   }
 
-  // Sends an ordered batch to the primary and waits for the ack.
-  Status AppendBatch(ViewId view, std::vector<PositionedRecord> records,
-                     bool overwrite = false, LogPos truncate_from = 0) {
-    ShardAppendBatchReq req;
+  // An ordering window whose span runs from `lo` to one past `last`, the first and last
+  // positions the test puts in it.
+  static ShardWindowReq Window(ViewId view, LogPos lo, LogPos last, bool overwrite = false,
+                               LogPos truncate_from = 0) {
+    ShardWindowReq req;
     req.view = view;
     req.overwrite = overwrite;
     req.truncate_from = truncate_from;
-    req.records = std::move(records);
-    Status out = Status::Internal("pending");
-    bool done = false;
-    client_->CallMsg(ids_[0], kShardAppendBatch, req,
-                     [&](Status s, Decoder) {
-                       out = std::move(s);
-                       done = true;
-                     },
-                     10 * kSec);
-    RunUntilDone(loop_, done, 10 * kSec);
-    return out;
+    req.range_lo = lo;
+    req.range_hi = last + 1;
+    return req;
   }
 
+  // Sends a record window to the primary and waits for the ack.
+  Status AppendBatch(ViewId view, std::vector<PositionedRecord> records,
+                     bool overwrite = false, LogPos truncate_from = 0) {
+    ShardWindowReq req =
+        Window(view, records.front().pos, records.back().pos, overwrite, truncate_from);
+    req.records = std::move(records);
+    return SendWindow(req, 10 * kSec);
+  }
+
+  // Sends a metadata window to the primary and waits for the ack.
   Status OrderMeta(ViewId view, std::vector<MetaEntry> entries, bool overwrite = false,
                    LogPos truncate_from = 0, uint64_t budget_ns = 10 * kSec) {
-    ShardOrderMetaReq req;
-    req.view = view;
-    req.overwrite = overwrite;
-    req.truncate_from = truncate_from;
+    ShardWindowReq req =
+        Window(view, entries.front().pos, entries.back().pos, overwrite, truncate_from);
     req.entries = std::move(entries);
+    return SendWindow(req, budget_ns);
+  }
+
+  Status SendWindow(const ShardWindowReq& req, uint64_t budget_ns) {
     Status out = Status::Internal("pending");
     bool done = false;
-    client_->CallMsg(ids_[0], kShardOrderMeta, req,
+    client_->CallMsg(ids_[0], kShardWindow, req,
                      [&](Status s, Decoder) {
                        out = std::move(s);
                        done = true;
@@ -353,10 +356,9 @@ TEST(ShardSt, DataArrivingBeforeTimeoutResolvesBinding) {
   ShardHarness h(ShardMode::kStModified);
   // Order metadata first; data arrives shortly after (network race, §5.4).
   bool meta_done = false;
-  ShardOrderMetaReq req;
-  req.view = 1;
+  ShardWindowReq req = ShardHarness::Window(1, 0, 0);
   req.entries = {MetaEntry{0, RecordId{9, 1}, 0}};
-  h.client_->CallMsg(h.ids_[0], kShardOrderMeta, req,
+  h.client_->CallMsg(h.ids_[0], kShardWindow, req,
                      [&](Status s, Decoder) {
                        EXPECT_TRUE(s.ok());
                        meta_done = true;
@@ -386,6 +388,113 @@ TEST(ShardSt, BackupRepairsFromPrimary) {
   ASSERT_NE(h.servers_[1]->RecordAt(0), nullptr);
   EXPECT_FALSE(h.servers_[1]->RecordAt(0)->no_op);
   EXPECT_EQ(h.servers_[1]->RecordAt(0)->payload, "only-primary");
+}
+
+// A backup whose fetches fail keeps asking. The backup is cut off from the primary for
+// two fetch attempts while the primary binds the record's late data; once the link
+// heals, the next attempt must bring the data over instead of leaving the placeholder
+// no-op that routed stable reads would serve.
+TEST(ShardSt, BackupRepairOutlastsFailedFetches) {
+  ShardHarness h(ShardMode::kStModified);
+  const RecordId id{13, 1};
+  ShardWindowReq req = ShardHarness::Window(1, 0, 0);
+  req.entries = {MetaEntry{0, id, 0}};
+  h.client_->CallMsg(h.ids_[0], kShardWindow, req, nullptr, 0);
+  h.loop_.RunUntil(h.loop_.Now() + 200 * kUs);
+  ASSERT_NE(h.servers_[1]->RecordAt(0), nullptr);  // bound, data pending on both
+  const SimTime bound_at = h.loop_.Now();
+
+  h.net_.SetPartitioned(h.ids_[0], h.ids_[1], true);
+  ASSERT_TRUE(h.PutData(id, "late", 0).ok());  // primary resolves before its timeout
+  ASSERT_FALSE(h.servers_[0]->RecordAt(0)->no_op);
+  const uint64_t attempt = h.params_.seq.st_data_timeout_ns + h.params_.rpc_timeout_ns;
+  h.loop_.RunUntil(bound_at + 2 * attempt + h.params_.seq.st_data_timeout_ns / 2);
+  EXPECT_TRUE(h.servers_[1]->RecordAt(0)->no_op);  // two fetches lost so far
+
+  h.net_.SetPartitioned(h.ids_[0], h.ids_[1], false);
+  h.loop_.RunUntil(h.loop_.Now() + 2 * attempt);
+  ASSERT_NE(h.servers_[1]->RecordAt(0), nullptr);
+  EXPECT_FALSE(h.servers_[1]->RecordAt(0)->no_op);
+  EXPECT_EQ(h.servers_[1]->RecordAt(0)->payload, "late");
+  EXPECT_EQ(h.servers_[1]->stats().noops_created, 0u);
+}
+
+// Promotion back-fill: the primary dies after replicating a window whose record's data
+// never reached it. Both survivors hold a pending binding; replica 1 is promoted with
+// order [r1, r2] and walks its peers for the binding before falling back to a no-op.
+class PromotionBackfill : public ::testing::Test {
+ protected:
+  PromotionBackfill() : h_(ShardMode::kStModified, /*replicas=*/3) {}
+
+  // Binds position 0 to `id_` on every replica, then crashes the primary before its
+  // no-op timer can decide anything.
+  void BindThenCrashPrimary() {
+    ShardWindowReq req = ShardHarness::Window(1, 0, 0);
+    req.entries = {MetaEntry{0, id_, 0}};
+    h_.client_->CallMsg(h_.ids_[0], kShardWindow, req, nullptr, 0);
+    h_.loop_.RunUntil(h_.loop_.Now() + 200 * kUs);
+    for (const auto& server : h_.servers_) {
+      ASSERT_NE(server->RecordAt(0), nullptr);
+    }
+    h_.net_.Crash(h_.ids_[0]);
+  }
+
+  // The controller's promote, sent to both survivors: order [r1, r2], both caught up.
+  void Promote() {
+    ShardPromoteReq promote;
+    promote.promo_epoch = 1;
+    promote.order = {h_.ids_[1], h_.ids_[2]};
+    promote.peer_applied = {1, 1};
+    int acks = 0;
+    for (size_t r = 1; r < 3; ++r) {
+      h_.client_->CallMsg(h_.ids_[r], kShardPromote, promote,
+                          [&acks](Status s, Decoder) {
+                            EXPECT_TRUE(s.ok());
+                            ++acks;
+                          },
+                          kSec);
+    }
+    h_.loop_.RunUntil(h_.loop_.Now() + 100 * kUs);
+    ASSERT_EQ(acks, 2);
+    ASSERT_EQ(h_.servers_[1]->stats().promotions, 1u);
+  }
+
+  ShardHarness h_;
+  const RecordId id_{14, 1};
+};
+
+TEST_F(PromotionBackfill, PromotedPrimaryFetchesRecordFromPeer) {
+  ASSERT_TRUE(h_.PutData(id_, "only-r2", 2).ok());
+  BindThenCrashPrimary();
+  ASSERT_FALSE(h_.servers_[2]->RecordAt(0)->no_op);  // r2 bound the real record
+  ASSERT_TRUE(h_.servers_[1]->RecordAt(0)->no_op);   // r1 holds the placeholder
+  Promote();
+  h_.loop_.RunUntil(h_.loop_.Now() + h_.params_.seq.st_data_timeout_ns / 2);
+  const Record* rec = h_.servers_[1]->RecordAt(0);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_FALSE(rec->no_op);
+  EXPECT_EQ(rec->payload, "only-r2");
+  EXPECT_EQ(h_.servers_[1]->stats().handoff_records_refetched, 1u);
+  // It stays bound: no no-op timer fires later.
+  h_.loop_.RunUntil(h_.loop_.Now() + 3 * h_.params_.seq.st_data_timeout_ns);
+  EXPECT_FALSE(h_.servers_[1]->RecordAt(0)->no_op);
+  EXPECT_EQ(h_.servers_[1]->stats().noops_created, 0u);
+}
+
+TEST_F(PromotionBackfill, NoPeerHasDataSoPromotedPrimaryNoOpsAfterTimeout) {
+  BindThenCrashPrimary();
+  Promote();
+  // r2 is still pending too, so the walk ends at the no-op timer.
+  h_.loop_.RunUntil(h_.loop_.Now() + h_.params_.seq.st_data_timeout_ns / 2);
+  EXPECT_EQ(h_.servers_[1]->stats().noops_created, 0u);
+  h_.loop_.RunUntil(h_.loop_.Now() + h_.params_.seq.st_data_timeout_ns);
+  EXPECT_EQ(h_.servers_[1]->stats().noops_created, 1u);
+  EXPECT_TRUE(h_.servers_[1]->RecordAt(0)->no_op);
+  EXPECT_EQ(h_.servers_[1]->stats().handoff_records_refetched, 0u);
+  // The decision reached r2, whose late data write is now refused.
+  EXPECT_EQ(h_.servers_[2]->stats().noops_created, 1u);
+  EXPECT_TRUE(h_.servers_[2]->RecordAt(0)->no_op);
+  EXPECT_EQ(h_.PutData(id_, "late", 2).code(), StatusCode::kRejected);
 }
 
 TEST(ShardSt, PosMapServedUpToStable) {
