@@ -51,6 +51,7 @@ class ErwinStClient : public ErwinClient {
   std::vector<uint32_t> posmap_;
   bool cache_enabled_ = true;
   uint64_t posmap_fetches_ = 0;
+  uint32_t posmap_misses_ = 0;  // consecutive failed fetches (see ReadDeadlineNs)
 };
 
 }  // namespace lazylog

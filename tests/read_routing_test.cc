@@ -20,6 +20,14 @@ namespace {
 
 // --- ReplicaRouter --------------------------------------------------------------------
 
+// Feeds the router one answered single-record read of `n`.
+void Answer(ReplicaRouter& router, NodeId n, uint64_t elapsed_ns, uint64_t queue_ns = 0) {
+  ShardReadResp resp;
+  resp.queue_ns = queue_ns;
+  router.OnIssue(n, 1);
+  router.OnReply(n, 1, elapsed_ns, &resp);
+}
+
 TEST(ReplicaRouter, ModeZeroAlwaysPicksPrimary) {
   SimParams params;
   params.client_read.read_routing_mode = 0;
@@ -45,8 +53,7 @@ TEST(ReplicaRouter, PowerOfTwoChoicesSpreadsAcrossReplicas) {
     const NodeId n = router.PickStable(replicas);
     picks[n]++;
     // Feed symmetric feedback so no replica ever looks permanently cheaper.
-    router.OnIssue(n);
-    router.OnReply(n, 100 * kUs, 0);
+    Answer(router, n, 100 * kUs);
   }
   // All three replicas serve a meaningful share under symmetric costs.
   ASSERT_EQ(picks.size(), 3u);
@@ -65,10 +72,8 @@ TEST(ReplicaRouter, AvoidsSlowReplicaAfterFeedback) {
   const std::vector<NodeId> replicas = {10, 11};
   // Teach the router: replica 11 is 50x slower than replica 10.
   for (int i = 0; i < 8; ++i) {
-    router.OnIssue(10);
-    router.OnReply(10, 20 * kUs, 0);
-    router.OnIssue(11);
-    router.OnReply(11, 1 * kMs, 0);
+    Answer(router, 10, 20 * kUs);
+    Answer(router, 11, 1 * kMs);
   }
   int slow_picks = 0;
   for (int i = 0; i < 200; ++i) {
@@ -81,8 +86,7 @@ TEST(ReplicaRouter, AvoidsSlowReplicaAfterFeedback) {
   // two replicas: the two choices are always distinct).
   EXPECT_EQ(slow_picks, 0);
   // Server-side queue feedback counts toward the cost estimate like RTT does.
-  router.OnIssue(10);
-  router.OnReply(10, 20 * kUs, /*server_queue_ns=*/10 * kMs);
+  Answer(router, 10, 20 * kUs, /*queue_ns=*/10 * kMs);
   EXPECT_GT(router.Score(10), router.Score(11));
 }
 
@@ -93,13 +97,59 @@ TEST(ReplicaRouter, InflightPenaltyShedsLoad) {
   ReplicaRouter router(&params, &rng, &stats);
   // Equal EWMAs, but replica 10 has a pile of our own unanswered reads.
   for (NodeId n : {10u, 11u}) {
-    router.OnIssue(n);
-    router.OnReply(n, 100 * kUs, 0);
+    Answer(router, n, 100 * kUs);
   }
   for (int i = 0; i < 4; ++i) {
-    router.OnIssue(10);
+    router.OnIssue(10, 1);
   }
   EXPECT_GT(router.Score(10), router.Score(11));
+}
+
+TEST(ReplicaRouter, DeadlineCoversTheReplyAndReadsAheadOfIt) {
+  SimParams params;
+  Rng rng(5);
+  ReadPathStats stats;
+  ReplicaRouter router(&params, &rng, &stats);
+  // A one-record read gets little more than the fixed slack.
+  const uint64_t one = router.OnIssue(10, 1);
+  EXPECT_GE(one, kReadDeadlineSlackNs);
+  EXPECT_LT(one, kReadDeadlineSlackNs + 10 * kUs);
+  // A chunk queued behind 3 others at the same replica is given the time all 4 need.
+  const uint64_t chunk = 256;
+  for (int i = 0; i < 3; ++i) {
+    router.OnIssue(11, chunk);
+  }
+  const uint64_t fourth = router.OnIssue(11, chunk);
+  EXPECT_EQ(fourth, ReadDeadlineNs(params, 4 * chunk * ReplicaRouter::kAssumedRecordBytes, 0));
+  // 1 MiB of 4 KB records costs ~0.5 ms of shard CPU plus ~0.3 ms on the NIC.
+  EXPECT_GT(fourth, kReadDeadlineSlackNs + 4 * 800 * kUs);
+  // Answered reads stop counting, and reveal a record size above the assumed one.
+  ShardReadResp resp;
+  resp.records.push_back(PositionedRecord{0, Record{{}, Buf(std::string(16384, 'x'))}});
+  for (int i = 0; i < 4; ++i) {
+    router.OnReply(11, chunk, 100 * kUs, &resp);
+  }
+  EXPECT_EQ(router.OnIssue(11, chunk), ReadDeadlineNs(params, chunk * 16384, 0));
+}
+
+TEST(ReplicaRouter, MissesDoubleTheDeadlineUpToTheRpcTimeout) {
+  SimParams params;
+  Rng rng(5);
+  ReadPathStats stats;
+  ReplicaRouter router(&params, &rng, &stats);
+  uint64_t deadline = router.OnIssue(10, 1);
+  for (int miss = 1; miss <= 8; ++miss) {
+    router.OnReply(10, 1, deadline, nullptr);
+    const uint64_t next = router.OnIssue(10, 1);
+    EXPECT_EQ(next, std::min(2 * deadline, params.rpc_timeout_ns)) << "miss " << miss;
+    deadline = next;
+  }
+  EXPECT_EQ(deadline, params.rpc_timeout_ns);
+  // Any answer resets the backoff; other replicas never shared it.
+  ShardReadResp resp;
+  router.OnReply(10, 1, 100 * kUs, &resp);
+  EXPECT_LT(router.OnIssue(10, 1), 3 * kMs);
+  EXPECT_LT(router.OnIssue(11, 1), 3 * kMs);
 }
 
 // --- TailCache ------------------------------------------------------------------------
@@ -331,6 +381,116 @@ TEST(ReadRouting, PosmapReadaheadParamAmortizesFetches) {
   const uint64_t default_span_fetches = scan(1024);
   EXPECT_GE(small_span_fetches, 24u / 4) << "posmap_readahead=4 not honored";
   EXPECT_LT(default_span_fetches, small_span_fetches);
+}
+
+// Reads [from, from+len) in one Read and checks every position and payload prefix.
+void ExpectExactRead(ErwinCluster& cluster, SharedLogClient& client, LogPos from,
+                     uint64_t len, const std::string& prefix) {
+  auto recs = ReadSyncly(cluster.loop(), client, from, len, 10 * kSec);
+  ASSERT_TRUE(recs.has_value()) << "read of [" << from << "," << from + len << ") failed";
+  ASSERT_EQ(recs->size(), len);
+  for (uint64_t i = 0; i < len; ++i) {
+    ASSERT_EQ((*recs)[i].pos, from + i);
+    const std::string head = prefix + std::to_string(from + i) + ".";
+    ASSERT_EQ((*recs)[i].record.payload.ToString().substr(0, head.size()), head);
+  }
+}
+
+// Appends `n` records of `bytes` bytes each: "<prefix><i>." padded with 'x'.
+void FillPadded(ErwinCluster& cluster, SharedLogClient& client, uint64_t n, size_t bytes,
+                const std::string& prefix) {
+  for (uint64_t i = 0; i < n; ++i) {
+    std::string payload = prefix + std::to_string(i) + ".";
+    payload.resize(bytes, 'x');
+    ASSERT_TRUE(AppendSyncly(cluster.loop(), client, std::move(payload)));
+  }
+  cluster.RunFor(100 * kMs);  // every replica's stable-gp covers the whole log
+}
+
+TEST(ReadRouting, LargeStableReadOnHealthyClusterSucceeds) {
+  // ~1100 x 4 KB records per shard: the shard needs ~2.4 ms of CPU to serialize them,
+  // and a 256-record chunk queued behind 3 others of the same read finishes only after
+  // ~2 ms. Each chunk's deadline covers the chunks ahead of it, so no healthy chunk
+  // misses and the whole read succeeds at its first attempt.
+  ErwinClusterOptions opt = Options(ErwinMode::kSt, /*routing_mode=*/2);
+  opt.params.client_read.readahead_records = 0;
+  ErwinCluster cluster(opt);
+  auto client = cluster.MakeStClient();
+  constexpr uint64_t kN = 2200;
+  FillPadded(cluster, *client, kN, 4096, "big-");
+  const uint64_t timeouts = client->rpc_stats().timeouts;
+  ExpectExactRead(cluster, *client, 0, kN, "big-");
+  EXPECT_EQ(client->rpc_stats().timeouts, timeouts) << "a healthy chunk missed its deadline";
+  EXPECT_GT(client->ReadPathSnapshot().counters.chunk_rpcs, 4u);
+}
+
+TEST(ReadRouting, LargeIndexPathReadOnHealthyClusterSucceeds) {
+  // A named-log read goes through the index tier and fetches each shard's records in
+  // one unchunked RPC: ~800 x 4 KB records per shard take ~2.7 ms to serialize and
+  // send. That fetch's deadline covers its records, so nothing misses and the read is
+  // served by the index path, not the full-scan fallback.
+  ErwinCluster cluster(Options(ErwinMode::kSt, /*routing_mode=*/2));
+  const LogId big_id = cluster.CreateLog("big");
+  ASSERT_NE(big_id, kDefaultLog);
+  cluster.RunFor(5 * kMs);  // the controller pushes the registry to the replicas
+  auto client = cluster.MakeStClient();
+  LogHandle big = OpenSyncly(cluster.loop(), *client, "big");
+  ASSERT_TRUE(big.valid());
+  constexpr uint64_t kN = 1600;
+  for (uint64_t i = 0; i < kN; ++i) {
+    std::string payload = "big-" + std::to_string(i) + ".";
+    payload.resize(4096, 'x');
+    ASSERT_TRUE(AppendSyncly(cluster.loop(), big, std::move(payload)));
+  }
+  cluster.RunFor(100 * kMs);  // ordering + index propagation
+  const uint64_t timeouts = client->rpc_stats().timeouts;
+  auto recs = ReadSyncly(cluster.loop(), big, 0, kN);
+  ASSERT_TRUE(recs.has_value());
+  ASSERT_EQ(recs->size(), kN);
+  for (uint64_t i = 0; i < kN; ++i) {
+    const std::string head = "big-" + std::to_string(i) + ".";
+    ASSERT_EQ((*recs)[i].pos, i);
+    ASSERT_EQ((*recs)[i].record.payload.ToString().substr(0, head.size()), head);
+  }
+  EXPECT_EQ(client->rpc_stats().timeouts, timeouts) << "an index-path fetch missed";
+}
+
+TEST(ReadRouting, RecordsLargerThanAssumedStillRead) {
+  // 16 KB records are 4x the size the router assumes before its first reply, so the
+  // first attempt's chunks miss their deadlines; each miss doubles the replica's next
+  // deadline, and a retry gets through and teaches the router the real size.
+  ErwinClusterOptions opt = Options(ErwinMode::kSt, /*routing_mode=*/2);
+  opt.params.client_read.readahead_records = 0;
+  ErwinCluster cluster(opt);
+  auto client = cluster.MakeStClient();
+  constexpr uint64_t kN = 1200;
+  FillPadded(cluster, *client, kN, 16384, "huge-");
+  ExpectExactRead(cluster, *client, 0, kN, "huge-");
+  EXPECT_GT(client->rpc_stats().timeouts, 0u) << "the first attempt should have missed";
+  // Learned: once the replicas have drained the missed chunks they still serialized,
+  // the same read again misses nothing.
+  cluster.RunFor(100 * kMs);
+  const uint64_t timeouts = client->rpc_stats().timeouts;
+  ExpectExactRead(cluster, *client, 0, kN, "huge-");
+  EXPECT_EQ(client->rpc_stats().timeouts, timeouts);
+}
+
+TEST(ReadRouting, ColdClientMapsALongLogInOneFetch) {
+  // A fresh Erwin-st client reading far into the log asks shard 0 for the position map
+  // of the whole prefix in one fetch. With the NICs slowed to 20 MB/s, 8000 positions
+  // (64 KB of map) take ~3.2 ms to send, more than the fixed read slack: the fetch
+  // deadline must grow with the span or every replica misses it.
+  ErwinClusterOptions opt = Options(ErwinMode::kSt, /*routing_mode=*/2);
+  opt.params.net.bandwidth_bytes_per_sec = 20e6;
+  opt.params.client_read.readahead_records = 0;
+  ErwinCluster cluster(opt);
+  auto writer = cluster.MakeStClient();
+  constexpr uint64_t kN = 8000;
+  FillPadded(cluster, *writer, kN, 16, "p");
+  auto reader = cluster.MakeStClient();
+  ExpectExactRead(cluster, *reader, kN - 2, 2, "p");
+  EXPECT_EQ(reader->posmap_fetches(), 1u);
+  EXPECT_EQ(reader->rpc_stats().timeouts, 0u);
 }
 
 TEST(ReadRouting, MModeRoutesStableReadsAndFallsBackAboveStable) {
