@@ -1,27 +1,59 @@
 #include "src/seq/controller.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/common/logging.h"
 #include "src/rpc/rpc_methods.h"
+#include "src/seq/fanout.h"
 
 namespace lazylog {
 
 namespace {
-// Bounded per-attempt timeouts for control-plane retry loops. Short enough that a
-// reconfiguration under an asymmetric partition makes progress as soon as the relevant
-// link heals, long enough to cover healthy RTTs with queueing.
-constexpr uint64_t kFenceAttemptTimeoutNs = 1 * kMs;
-constexpr uint64_t kFenceRetryNs = 500 * kUs;
+// Control-plane retry policy (the table in DESIGN.md §3.1). Per-attempt timeouts are
+// short enough that a step under an asymmetric partition makes progress as soon as the
+// relevant link heals, long enough to cover healthy RTTs with queueing.
+// Shard fence: one RTT to a shard server, until every (still-member, live) server acks.
+constexpr RetryPolicy kShardFenceRetry{1 * kMs, 500 * kUs, 0};
+// Seq seal: one attempt; a live replica that misses it is resealed in the background.
+constexpr RetryPolicy kSeqSealRetry{5 * kMs, 0, 1};
+// Reseal: one attempt every 2 ms (timeout + backoff) until the node is sealed or started
+// into a newer view; the shard fence keeps it harmless meanwhile.
+constexpr RetryPolicy kResealRetry{1 * kMs, 1 * kMs, 0};
+// StartView: unbounded, because a lost StartView would leave a member sealed forever.
+constexpr RetryPolicy kStartViewRetry{5 * kMs, 1 * kMs, 0};
+// Promo-seal and promote: a target silent for 8 rounds is presumed dead.
+constexpr RetryPolicy kPromoteRetry{1 * kMs, 500 * kUs, 8};
+// Config pushes to the sequencing replicas: ~70 ms of tries, then the miss is reported.
+constexpr RetryPolicy kSeqPushRetry{5 * kMs, 2 * kMs, 10};
+// Index re-point: bounded, because the index is an access path, never an ack dependency.
+constexpr RetryPolicy kIndexPushRetry{1 * kMs, 2 * kMs, 5};
+// The recovery flush and the replacement state copy wait out the RPC timeout per try.
+// A flush source that misses 3 tries is presumed gone and sealing restarts; a
+// replacement that misses 5 fails the op.
+constexpr uint32_t kFlushAttempts = 3;
+constexpr uint64_t kFlushRetryNs = 1 * kMs;
+constexpr uint32_t kCopyStateAttempts = 5;
+constexpr uint64_t kCopyStateRetryNs = 2 * kMs;
+// A flow whose key target died (flush source, promotion candidate) restarts after this.
+constexpr uint64_t kRestartNs = 1 * kMs;
+// A seal round that reached no replica is retried after (1 + min(round, cap)) steps.
+constexpr uint64_t kSealRoundStepNs = 1 * kMs;
+constexpr uint32_t kSealRoundStepCap = 8;
+// ZK writes: a controller<->ZK partition delays a step but never aborts it (unbounded).
 constexpr uint64_t kZkOpTimeoutNs = 10 * kMs;
 constexpr uint64_t kZkRetryNs = 2 * kMs;
-constexpr uint64_t kStartViewAttemptTimeoutNs = 5 * kMs;
-constexpr uint64_t kStartViewRetryNs = 1 * kMs;
-constexpr uint64_t kResealIntervalNs = 2 * kMs;
 // Polls a configured replica may stay unregistered (no liveness ephemeral ever seen)
 // before the controller declares it failed. Polls run every 2 session heartbeats, so
 // this is a multi-timeout grace window for slow registrations under queued ZK writes.
 constexpr uint32_t kUnregisteredPollLimit = 4;
+
+template <typename Req>
+std::string Encoded(const Req& req) {
+  Encoder enc;
+  req.Encode(enc);
+  return enc.Take();
+}
 }  // namespace
 
 Controller::Controller(Network* net, const SimParams& params, NodeId zk_node)
@@ -80,10 +112,8 @@ void Controller::OnReplicaDown(const std::string& path) {
   timing_ = ReconfigTiming{};
   timing_.detected_at = endpoint_.loop()->Now();
   reconfiguring_ = true;
-  RunReconfiguration();
+  SealAll(0);
 }
-
-void Controller::RunReconfiguration() { SealAll(0); }
 
 void Controller::SealAll(uint32_t attempt) {
   // Seal every reachable replica of the current config *and* fence every shard server
@@ -94,11 +124,8 @@ void Controller::SealAll(uint32_t attempt) {
   // partitions where the old leader never sees a seal.
   const ViewId fence_view = view_ + 1;
   std::vector<NodeId> targets;
-  for (NodeId n : config_) {
-    if (known_dead_.count(n) == 0) {
-      targets.push_back(n);
-    }
-  }
+  std::copy_if(config_.begin(), config_.end(), std::back_inserter(targets),
+               [this](NodeId n) { return known_dead_.count(n) == 0; });
 
   auto join = std::make_shared<int>(2);
   auto live_nodes = std::make_shared<std::vector<NodeId>>();
@@ -111,141 +138,90 @@ void Controller::SealAll(uint32_t attempt) {
       // by the shard fence; retry with backoff until a link heals or an ephemeral
       // expires and updates known_dead_.
       LLOG(kWarn) << "controller: seal round " << attempt << " reached no replica; retrying";
-      const uint64_t backoff = (1 + std::min<uint32_t>(attempt, 8)) * kMs;
+      const uint64_t backoff = (1 + std::min(attempt, kSealRoundStepCap)) * kSealRoundStepNs;
       endpoint_.loop()->Schedule(backoff, [this, attempt]() { SealAll(attempt + 1); });
       return;
     }
     timing_.sealed_at = endpoint_.loop()->Now();
-    // Prefer the old leader as recovery replica when alive (its log already defines the
-    // order in flight); otherwise any live replica is safe (§4.5 correctness sketch).
-    NodeId recovery = (*live_nodes)[0];
-    for (NodeId n : *live_nodes) {
-      if (n == config_[0]) {
-        recovery = n;
-        break;
-      }
+    // The new config is the live replicas, led by the recovery replica. Prefer the old
+    // leader as recovery replica when alive (its log already defines the order in
+    // flight); otherwise any live replica is safe (§4.5 correctness sketch).
+    std::vector<NodeId> new_config = *live_nodes;
+    auto leader = std::find(new_config.begin(), new_config.end(), config_[0]);
+    if (leader != new_config.end()) {
+      std::rotate(new_config.begin(), leader, leader + 1);
     }
-    FlushRecovery(*live_nodes, recovery, 0);
+    FlushRecovery(std::move(new_config));
   };
 
-  // Fence the storage tier.
-  auto all_shards = AllShardServers();
-  auto pending = std::make_shared<std::set<NodeId>>(all_shards.begin(), all_shards.end());
-  FenceShards(fence_view, pending, proceed);
+  // Fence the storage tier until every shard server acked. A node that was replaced (no
+  // longer a shard member) or is known dead (a crashed shard primary awaiting promotion)
+  // is dropped: a sequencing reconfiguration that raced a shard-primary failure must not
+  // wait forever on the dead primary's fence ack.
+  const std::vector<NodeId> all_shards = AllShardServers();
+  const std::set<NodeId> fence_targets(all_shards.begin(), all_shards.end());
+  Fanout(&endpoint_, kShardSeal, {fence_targets.begin(), fence_targets.end()},
+         Encoded(ShardSealReq{fence_view}), kShardFenceRetry, nullptr,
+         [this](NodeId n) {
+           const std::vector<NodeId> current = AllShardServers();
+           return dead_shard_servers_.count(n) == 0 &&
+                  std::find(current.begin(), current.end(), n) != current.end();
+         },
+         [proceed](const FanoutOutcome&) { proceed(); });
 
   // Fence the index tier fire-and-forget: an index node that misses the fence can at
   // worst accept a deposed leader's stable-gp stat update — its served coverage comes
   // from the (acked-fenced) shards' exports, so consistency never depends on this.
-  if (!index_nodes_.empty()) {
-    ShardSealReq ireq{fence_view};
-    Encoder ienc;
-    ireq.Encode(ienc);
-    const Buf ibody = ienc.TakeBuf();
-    for (NodeId n : index_nodes_) {
-      endpoint_.Call(n, kShardSeal, ibody, nullptr, 0);
-    }
+  const Buf ibody = Encoded(ShardSealReq{fence_view});
+  for (NodeId n : index_nodes_) {
+    endpoint_.Call(n, kShardSeal, ibody, nullptr, 0);
   }
 
-  // Seal the sequencing tier.
-  if (targets.empty()) {
-    proceed();
-    return;
-  }
-  SeqSealReq seal{view_};
-  Encoder enc;
-  seal.Encode(enc);
-  const Buf body = enc.TakeBuf();
+  // Seal the sequencing tier: one attempt per replica.
   const ViewId sealed_view = view_;
-  auto gather = Gather::Create(
-      targets.size(),
-      [this, live_nodes, targets, sealed_view, proceed](const std::vector<Status>& ss) {
-        for (size_t i = 0; i < ss.size(); ++i) {
-          if (ss[i].ok()) {
-            live_nodes->push_back(targets[i]);
-            reseal_pending_.erase(targets[i]);
-          } else if (known_dead_.count(targets[i]) == 0) {
-            // Live but unreachable from here (asymmetric partition): keep trying to
-            // seal it in the background so it stops serving once a link heals. The
-            // shard fence keeps it harmless in the meantime.
-            reseal_pending_[targets[i]] = sealed_view;
-            ResealLoop();
-          }
-        }
-        proceed();
-      });
-  for (size_t i = 0; i < targets.size(); ++i) {
-    endpoint_.Call(targets[i], kSeqSeal, body, gather->Slot(i), 5 * kMs);
-  }
+  Fanout(&endpoint_, kSeqSeal, std::move(targets), Encoded(SeqSealReq{sealed_view}),
+         kSeqSealRetry, nullptr, nullptr,
+         [this, live_nodes, sealed_view, proceed](const FanoutOutcome& out) {
+           std::vector<NodeId> unsealed;
+           for (size_t i = 0; i < out.targets.size(); ++i) {
+             if (out.settled[i] == Settled::kAcked) {
+               live_nodes->push_back(out.targets[i]);
+               reseal_pending_.erase(out.targets[i]);
+             } else if (known_dead_.count(out.targets[i]) == 0) {
+               // Live but unreachable from here (asymmetric partition): keep trying
+               // to seal it in the background so it stops serving once a link
+               // heals. The shard fence keeps it harmless in the meantime.
+               unsealed.push_back(out.targets[i]);
+             }
+           }
+           Reseal(std::move(unsealed), sealed_view);
+           proceed();
+         });
 }
 
-void Controller::FenceShards(ViewId fence_view, std::shared_ptr<std::set<NodeId>> pending,
-                             std::function<void()> done) {
-  // Drop nodes that were replaced (no longer shard members) since the last round, and
-  // nodes known dead (a crashed shard primary awaiting promotion): a sequencing
-  // reconfiguration that raced a shard-primary failure must not wait forever on the
-  // dead primary's fence ack.
-  const std::vector<NodeId> current = AllShardServers();
-  for (auto it = pending->begin(); it != pending->end();) {
-    if (std::find(current.begin(), current.end(), *it) == current.end() ||
-        dead_shard_servers_.count(*it) > 0) {
-      it = pending->erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (pending->empty()) {
-    done();
+void Controller::Reseal(std::vector<NodeId> nodes, ViewId sealed_view) {
+  // A node already being resealed keeps its chain; the rest start one, in node order.
+  std::sort(nodes.begin(), nodes.end());
+  std::erase_if(nodes, [this](NodeId n) { return !reseal_pending_.insert(n).second; });
+  if (nodes.empty()) {
     return;
   }
-  ShardSealReq req{fence_view};
-  Encoder enc;
-  req.Encode(enc);
-  const Buf body = enc.TakeBuf();
-  const std::vector<NodeId> round(pending->begin(), pending->end());
-  auto gather = Gather::Create(
-      round.size(),
-      [this, fence_view, pending, round, done = std::move(done)](const std::vector<Status>& ss) {
-        for (size_t i = 0; i < ss.size(); ++i) {
-          if (ss[i].ok()) {
-            pending->erase(round[i]);
+  const Buf body = Encoded(SeqSealReq{sealed_view});
+  const uint64_t first_ns = kResealRetry.timeout_ns + kResealRetry.backoff_ns;  // one period
+  endpoint_.loop()->Schedule(first_ns, [this, nodes, body]() {
+    // WRONG_VIEW means the node already moved to a newer view (it was started into the
+    // new config); either way it is no longer a stale-serving risk. A StartView ack ends
+    // the chain too.
+    Fanout(
+        &endpoint_, kSeqSeal, nodes, body, kResealRetry,
+        [this](NodeId n, const Status& s, Decoder&) {
+          const bool sealed = s.ok() || s.code() == StatusCode::kWrongView;
+          if (sealed) {
+            reseal_pending_.erase(n);
           }
-        }
-        if (pending->empty()) {
-          done();
-          return;
-        }
-        endpoint_.loop()->Schedule(kFenceRetryNs, [this, fence_view, pending, done]() {
-          FenceShards(fence_view, pending, done);
-        });
-      });
-  for (size_t i = 0; i < round.size(); ++i) {
-    endpoint_.Call(round[i], kShardSeal, body, gather->Slot(i), kFenceAttemptTimeoutNs);
-  }
-}
-
-void Controller::ResealLoop() {
-  if (reseal_armed_ || reseal_pending_.empty()) {
-    return;
-  }
-  reseal_armed_ = true;
-  endpoint_.loop()->Schedule(kResealIntervalNs, [this]() {
-    reseal_armed_ = false;
-    for (const auto& [node, sealed_view] : reseal_pending_) {
-      SeqSealReq seal{sealed_view};
-      Encoder enc;
-      seal.Encode(enc);
-      endpoint_.Call(node, kSeqSeal, enc,
-                     [this, node](Status s, Decoder) {
-                       // WRONG_VIEW means the node already moved to a newer view (it was
-                       // started into the new config); either way it is no longer a
-                       // stale-serving risk.
-                       if (s.ok() || s.code() == StatusCode::kWrongView) {
-                         reseal_pending_.erase(node);
-                       }
-                     },
-                     kFenceAttemptTimeoutNs);
-    }
-    ResealLoop();
+          return sealed;
+        },
+        [this](NodeId n) { return reseal_pending_.count(n) > 0; }, nullptr);
   });
 }
 
@@ -295,145 +271,105 @@ void Controller::ReconcilePoll() {
       kZkOpTimeoutNs);
 }
 
-void Controller::FlushRecovery(std::vector<NodeId> live, NodeId recovery, uint32_t attempt) {
-  const ViewId new_view = view_ + 1;
-  SeqFlushReq req{new_view};
-  Encoder enc;
-  req.Encode(enc);
-  // New config: recovery replica leads, followed by the other live replicas.
-  std::vector<NodeId> new_config{recovery};
-  for (NodeId n : live) {
-    if (n != recovery) {
-      new_config.push_back(n);
-    }
-  }
-  endpoint_.Call(recovery, kSeqFetchLog, enc,
-                 [this, live = std::move(live), recovery, attempt,
-                  new_config = std::move(new_config)](Status s, Decoder d) mutable {
-                   SeqFlushResp resp;
-                   if (!s.ok() || !resp.Decode(d)) {
-                     LLOG(kError) << "controller: flush failed: " << s.ToString();
-                     if (attempt + 1 < 3) {
-                       endpoint_.loop()->Schedule(1 * kMs, [this, live = std::move(live),
-                                                            recovery, attempt]() mutable {
-                         FlushRecovery(std::move(live), recovery, attempt + 1);
-                       });
-                     } else {
-                       // The recovery replica is likely gone; restart from sealing with
-                       // whatever known_dead_ the watches have accumulated since.
-                       endpoint_.loop()->Schedule(1 * kMs, [this]() { SealAll(0); });
-                     }
-                     return;
-                   }
-                   timing_.flushed_at = endpoint_.loop()->Now();
-                   FinishView(std::move(new_config), resp.new_ordered_gp,
-                              std::move(resp.flushed_ids), 0);
-                 },
-                 params_.rpc_timeout_ns);
+void Controller::FlushRecovery(std::vector<NodeId> new_config) {
+  const NodeId recovery = new_config[0];
+  auto resp = std::make_shared<SeqFlushResp>();
+  Fanout(&endpoint_, kSeqFetchLog, {recovery}, Encoded(SeqFlushReq{view_ + 1}),
+         {params_.rpc_timeout_ns, kFlushRetryNs, kFlushAttempts},
+         [resp](NodeId, const Status& s, Decoder& d) {
+           *resp = SeqFlushResp{};
+           return s.ok() && resp->Decode(d);
+         },
+         nullptr,
+         [this, resp, new_config = std::move(new_config)](const FanoutOutcome& out) {
+           if (out.settled[0] != Settled::kAcked) {
+             // The recovery replica is likely gone; restart from sealing with
+             // whatever known_dead_ the watches have accumulated since.
+             LLOG(kError) << "controller: flush from " << out.targets[0] << " failed";
+             endpoint_.loop()->Schedule(kRestartNs, [this]() { SealAll(0); });
+             return;
+           }
+           timing_.flushed_at = endpoint_.loop()->Now();
+           FinishView(new_config, resp->new_ordered_gp, std::move(resp->flushed_ids));
+         });
 }
 
 void Controller::FinishView(std::vector<NodeId> new_config, LogPos ordered_gp,
-                            std::vector<WireRecordId> flushed_ids, uint32_t attempt) {
+                            std::vector<WireRecordId> flushed_ids) {
   const ViewId new_view = view_ + 1;
   // Persist the new configuration *before* advancing stable-gp so a partitioned replica
-  // of the old view can never overwrite records exposed afterwards (§4.5). The write is
-  // retried: a controller<->ZK partition delays the view change but never aborts it.
+  // of the old view can never overwrite records exposed afterwards (§4.5).
   Encoder cfg;
   cfg.PutU64(new_view);
   cfg.PutU32(static_cast<uint32_t>(new_config.size()));
   for (NodeId n : new_config) {
     cfg.PutU32(n);
   }
-  zk_.SetData(
-      "/seq/config", cfg.Take(), UINT64_MAX,
-      [this, new_config = std::move(new_config), ordered_gp, flushed_ids = std::move(flushed_ids),
-       new_view, attempt](Status s) mutable {
-        if (!s.ok()) {
-          LLOG(kWarn) << "controller: zk config write failed (" << s.ToString()
-                      << "); retrying";
-          endpoint_.loop()->Schedule(
-              kZkRetryNs, [this, new_config = std::move(new_config), ordered_gp,
-                           flushed_ids = std::move(flushed_ids), attempt]() mutable {
-                FinishView(std::move(new_config), ordered_gp, std::move(flushed_ids),
-                           attempt + 1);
-              });
-          return;
-        }
-        timing_.view_written_at = endpoint_.loop()->Now();
-        // Advance stable-gp on the shards: everything flushed is now stable. Stamped
-        // with the new view so it passes the fence raised in SealAll.
-        StableGpMsg stable{new_view, ordered_gp};
-        Encoder se;
-        stable.Encode(se);
-        const Buf sbody = se.TakeBuf();
-        for (NodeId n : AllShardServers()) {
-          endpoint_.Call(n, kShardSetStableGp, sbody, nullptr, 0);
-        }
-        for (NodeId n : index_nodes_) {
-          endpoint_.Call(n, kShardSetStableGp, sbody, nullptr, 0);
-        }
-        // Start the new view on every member, retrying per member until each one
-        // adopted it (a lost StartView would leave a member sealed forever).
-        SeqStartViewReq sv;
-        sv.view = new_view;
-        sv.config.assign(new_config.begin(), new_config.end());
-        sv.ordered_gp = ordered_gp;
-        sv.stable_gp = ordered_gp;
-        sv.flushed_ids = std::move(flushed_ids);
-        Encoder sve;
-        sv.Encode(sve);
-        auto body = std::make_shared<std::string>(sve.Take());
-        auto remaining = std::make_shared<size_t>(new_config.size());
-        for (NodeId member : new_config) {
-          StartViewMember(member, body, new_view,
-                          [this, remaining, new_config, new_view]() {
-                            if (--*remaining > 0) {
-                              return;
-                            }
-                            view_ = new_view;
-                            config_ = new_config;
-                            timing_.new_view_at = endpoint_.loop()->Now();
-                            timing_.complete = true;
-                            reconfigurations_++;
-                            reconfiguring_ = false;
-                            LLOG(kInfo) << "controller: view " << new_view << " started";
-                            if (on_reconfigured_) {
-                              on_reconfigured_(timing_);
-                            }
-                            if (pending_failure_) {
-                              pending_failure_ = false;
-                              OnReplicaDown("(queued)");
-                            }
-                          });
-        }
-      },
-      kZkOpTimeoutNs);
+  WriteZk("/seq/config", [cfg = cfg.Take()]() { return cfg; },
+          [this, new_config = std::move(new_config), ordered_gp,
+           flushed_ids = std::move(flushed_ids), new_view]() mutable {
+    timing_.view_written_at = endpoint_.loop()->Now();
+    // Advance stable-gp on the shards: everything flushed is now stable. Stamped with the
+    // new view so it passes the fence raised in SealAll.
+    const Buf sbody = Encoded(StableGpMsg{new_view, ordered_gp});
+    for (NodeId n : AllShardServers()) {
+      endpoint_.Call(n, kShardSetStableGp, sbody, nullptr, 0);
+    }
+    for (NodeId n : index_nodes_) {
+      endpoint_.Call(n, kShardSetStableGp, sbody, nullptr, 0);
+    }
+    // Start the new view on every member, retrying per member until each one adopted it.
+    const SeqStartViewReq sv{new_view, {new_config.begin(), new_config.end()}, ordered_gp,
+                             ordered_gp, std::move(flushed_ids)};
+    Fanout(
+        &endpoint_, kSeqStartView, new_config, Encoded(sv), kStartViewRetry,
+        [this](NodeId member, const Status& s, Decoder&) {
+          if (s.ok() || s.code() == StatusCode::kWrongView) {
+            // Adopted (or already past) this view: no longer a reseal target.
+            reseal_pending_.erase(member);
+            return true;
+          }
+          // A member that died mid-reconfiguration settles too: the queued failure
+          // event will remove it from the config. Don't hold the new view hostage.
+          return known_dead_.count(member) > 0;
+        },
+        nullptr,
+        [this, new_config, new_view](const FanoutOutcome&) {
+          view_ = new_view;
+          config_ = new_config;
+          timing_.new_view_at = endpoint_.loop()->Now();
+          timing_.complete = true;
+          reconfigurations_++;
+          reconfiguring_ = false;
+          LLOG(kInfo) << "controller: view " << new_view << " started";
+          if (on_reconfigured_) {
+            on_reconfigured_(timing_);
+          }
+          if (pending_failure_) {
+            pending_failure_ = false;
+            OnReplicaDown("(queued)");
+          }
+        });
+  });
 }
 
-void Controller::StartViewMember(NodeId member, std::shared_ptr<std::string> body,
-                                 ViewId new_view, std::function<void()> acked) {
-  endpoint_.Call(member, kSeqStartView, *body,
-                 [this, member, body, new_view, acked = std::move(acked)](
-                     Status s, Decoder) mutable {
-                   if (s.ok() || s.code() == StatusCode::kWrongView) {
-                     // Adopted (or already past) this view: no longer a reseal target.
-                     reseal_pending_.erase(member);
-                     acked();
-                     return;
-                   }
-                   if (known_dead_.count(member) > 0) {
-                     // Died mid-reconfiguration; the queued failure event will remove it
-                     // from the config. Don't hold the new view hostage.
-                     acked();
-                     return;
-                   }
-                   endpoint_.loop()->Schedule(
-                       kStartViewRetryNs, [this, member, body, new_view,
-                                           acked = std::move(acked)]() mutable {
-                         StartViewMember(member, body, new_view, std::move(acked));
-                       });
-                 },
-                 kStartViewAttemptTimeoutNs);
+void Controller::WriteZk(std::string path, std::function<std::string()> encode,
+                         std::function<void()> done) {
+  zk_.SetData(
+      path, encode(), UINT64_MAX,
+      [this, path, encode, done = std::move(done)](Status s) {
+        if (s.ok()) {
+          if (done) {
+            done();
+          }
+          return;
+        }
+        LLOG(kWarn) << "controller: zk write of " << path << " failed (" << s.ToString()
+                    << "); retrying";
+        endpoint_.loop()->Schedule(kZkRetryNs,
+                                   [this, path, encode, done]() { WriteZk(path, encode, done); });
+      },
+      kZkOpTimeoutNs);
 }
 
 // --- shard membership ------------------------------------------------------------------
@@ -454,30 +390,26 @@ std::string Controller::EncodeShardConfig() const {
   return e.Take();
 }
 
-void Controller::WriteShardConfig(std::function<void(Status)> done) {
-  zk_.SetData("/shards/config", EncodeShardConfig(), UINT64_MAX,
-              [this, done = std::move(done)](Status s) mutable {
-                if (!s.ok()) {
-                  LLOG(kWarn) << "controller: shard config write failed; retrying";
-                  endpoint_.loop()->Schedule(kZkRetryNs, [this, done = std::move(done)]() mutable {
-                    WriteShardConfig(std::move(done));
-                  });
-                  return;
-                }
-                if (done) {
-                  done(Status::Ok());
-                }
-              },
-              kZkOpTimeoutNs);
+void Controller::WriteShardConfig(std::function<void()> done) {
+  WriteZk("/shards/config", [this]() { return EncodeShardConfig(); }, std::move(done));
 }
 
-void Controller::BeginShardOp(uint32_t shard, std::function<void()> op) {
+void Controller::BeginShardOp(uint32_t shard, std::function<void(Status)> done,
+                              std::function<void(std::function<void(Status)>)> op) {
+  auto run = [this, shard, done = std::move(done), op = std::move(op)]() {
+    op([this, shard, done](Status s) {
+      EndShardOp(shard);
+      if (done) {
+        done(std::move(s));
+      }
+    });
+  };
   if (shard_busy_.count(shard) > 0) {
-    shard_op_queue_[shard].push_back(std::move(op));
+    shard_op_queue_[shard].push_back(std::move(run));
     return;
   }
   shard_busy_.insert(shard);
-  op();
+  run();
 }
 
 void Controller::EndShardOp(uint32_t shard) {
@@ -494,72 +426,39 @@ void Controller::EndShardOp(uint32_t shard) {
 void Controller::ReplaceShardReplica(uint32_t shard, uint32_t replica_index, NodeId new_node,
                                      std::function<void(Status)> done) {
   LL_CHECK(shard < shards_.size(), "bad shard index");
-  BeginShardOp(shard, [this, shard, replica_index, new_node, done = std::move(done)]() mutable {
-    auto finish = [this, shard, done = std::move(done)](Status s) {
-      EndShardOp(shard);
-      if (done) {
-        done(std::move(s));
-      }
-    };
+  BeginShardOp(shard, std::move(done), [this, shard, replica_index, new_node](auto done) {
     // Membership may have changed while this op was queued behind another one on the
     // same shard (a promotion reorders and shrinks the replica list); re-validate and
     // re-resolve the victim at execution time rather than trusting the caller's index.
     if (replica_index == 0 || replica_index >= shards_[shard].size()) {
-      finish(Status::Unavailable("replica index no longer valid (membership changed)"));
+      done(Status::Unavailable("replica index no longer valid (membership changed)"));
       return;
     }
-    DoReplaceShardReplica(shard, shards_[shard][replica_index], new_node, std::move(finish));
+    const NodeId old_node = shards_[shard][replica_index];
+    Fanout(
+        &endpoint_, kShardCopyState, {new_node}, Encoded(ShardCopyStateReq{shards_[shard][0]}),
+        {params_.rpc_timeout_ns, kCopyStateRetryNs, kCopyStateAttempts}, nullptr, nullptr,
+        [this, shard, old_node, new_node, done](const FanoutOutcome& out) {
+          if (out.settled[0] != Settled::kAcked) {
+            done(Status::Unavailable("state copy to " + std::to_string(new_node) + " failed"));
+            return;
+          }
+          // State installed on the replacement: adopt + persist the new membership, then
+          // re-wire the sequencing layer. Re-find the victim by identity: its slot may
+          // have shifted while the copy ran.
+          auto it = std::find(shards_[shard].begin(), shards_[shard].end(), old_node);
+          if (it == shards_[shard].end()) {
+            done(Status::Unavailable("old replica no longer a member"));
+            return;
+          }
+          *it = new_node;
+          shard_epoch_++;
+          WriteShardConfig([this, old_node, new_node, done]() {
+            PushToSeqReplicas(kSeqUpdateShards,
+                              Encoded(SeqUpdateShardsReq{old_node, new_node}), done);
+          });
+        });
   });
-}
-
-void Controller::DoReplaceShardReplica(uint32_t shard, NodeId old_node, NodeId new_node,
-                                       std::function<void(Status)> done) {
-  const NodeId source = shards_[shard][0];
-  ShardCopyStateReq req{source};
-  Encoder enc;
-  req.Encode(enc);
-  auto body = std::make_shared<std::string>(enc.Take());
-  auto attempt_copy = std::make_shared<std::function<void(uint32_t)>>();
-  // The stored closure holds only a weak self-reference: the in-flight RPC callback
-  // and the scheduled retry own the strong one, so the chain frees itself once the
-  // retries stop instead of leaking a shared_ptr cycle.
-  std::weak_ptr<std::function<void(uint32_t)>> weak_copy = attempt_copy;
-  *attempt_copy = [this, shard, old_node, new_node, body, weak_copy,
-                   done = std::move(done)](uint32_t attempt) mutable {
-    auto self = weak_copy.lock();
-    if (!self) {
-      return;
-    }
-    endpoint_.Call(new_node, kShardCopyState, *body,
-                   [this, shard, old_node, new_node, attempt, self,
-                    done](Status s, Decoder) mutable {
-                     if (!s.ok()) {
-                       if (attempt + 1 < 5) {
-                         endpoint_.loop()->Schedule(2 * kMs, [self, attempt]() {
-                           (*self)(attempt + 1);
-                         });
-                       } else {
-                         done(std::move(s));
-                       }
-                       return;
-                     }
-                     // State installed on the replacement: adopt + persist the new
-                     // membership, then re-wire the sequencing layer. Re-find the victim
-                     // by identity: its slot may have shifted while the copy ran.
-                     auto it = std::find(shards_[shard].begin(), shards_[shard].end(), old_node);
-                     if (it == shards_[shard].end()) {
-                       done(Status::Unavailable("old replica no longer a member"));
-                       return;
-                     }
-                     *it = new_node;
-                     shard_epoch_++;
-                     WriteShardConfig([this, old_node, new_node, done](Status) mutable {
-                       UpdateSeqShards(old_node, new_node, std::move(done));
-                     });
-                   },
-                   params_.rpc_timeout_ns);
-  };
-  (*attempt_copy)(0);
 }
 
 void Controller::AddShard(std::vector<NodeId> replicas) {
@@ -587,8 +486,7 @@ LogId Controller::CreateLog(const std::string& name, uint64_t quota_per_sec,
   entry.quota_per_sec = quota_per_sec;
   log_registry_.push_back(std::move(entry));
   log_epoch_++;
-  WriteLogConfig();
-  PushLogRegistry(std::move(done));
+  PublishLogRegistry(std::move(done));
   return log_registry_.back().id;
 }
 
@@ -597,8 +495,7 @@ void Controller::DeleteLog(const std::string& name, std::function<void(Status)> 
     if (entry.name == name && !entry.deleted) {
       entry.deleted = true;
       log_epoch_++;
-      WriteLogConfig();
-      PushLogRegistry(std::move(done));
+      PublishLogRegistry(std::move(done));
       return;
     }
   }
@@ -607,113 +504,31 @@ void Controller::DeleteLog(const std::string& name, std::function<void(Status)> 
   }
 }
 
-void Controller::WriteLogConfig() {
-  SeqUpdateLogsReq req{log_epoch_, log_registry_};
-  Encoder enc;
-  req.Encode(enc);
-  zk_.SetData("/logs/config", enc.Take(), UINT64_MAX,
-              [this](Status s) {
-                if (!s.ok()) {
-                  LLOG(kWarn) << "controller: log config write failed; retrying";
-                  // Re-encode at retry time: a newer epoch may have superseded this
-                  // write, and persisting the latest table is always correct.
-                  endpoint_.loop()->Schedule(kZkRetryNs, [this]() { WriteLogConfig(); });
-                }
-              },
-              kZkOpTimeoutNs);
+void Controller::PublishLogRegistry(std::function<void(Status)> done) {
+  // Re-encode at retry time: a newer epoch may have superseded this write, and
+  // persisting the latest table is always correct.
+  WriteZk("/logs/config", [this]() { return Encoded(SeqUpdateLogsReq{log_epoch_, log_registry_}); },
+          nullptr);
+  PushToSeqReplicas(kSeqUpdateLogs, Encoded(SeqUpdateLogsReq{log_epoch_, log_registry_}),
+                    std::move(done));
 }
 
-void Controller::PushLogRegistry(std::function<void(Status)> done) {
+void Controller::PushToSeqReplicas(MethodId method, Buf body, std::function<void(Status)> done) {
   std::vector<NodeId> targets;
-  for (NodeId n : seq_replicas_) {
-    if (known_dead_.count(n) == 0) {
-      targets.push_back(n);
-    }
-  }
-  if (targets.empty()) {
-    if (done) {
-      done(Status::Ok());
-    }
-    return;
-  }
-  SeqUpdateLogsReq req{log_epoch_, log_registry_};
-  Encoder enc;
-  req.Encode(enc);
-  auto body = std::make_shared<std::string>(enc.Take());
-  auto remaining = std::make_shared<size_t>(targets.size());
-  auto finish = std::make_shared<std::function<void(Status)>>(std::move(done));
-  for (NodeId member : targets) {
-    auto send = std::make_shared<std::function<void(uint32_t)>>();
-    // Weak self-reference, as in UpdateSeqShards: the RPC callback / scheduled retry
-    // keep the closure alive, not the closure itself.
-    std::weak_ptr<std::function<void(uint32_t)>> weak_send = send;
-    *send = [this, member, body, weak_send, remaining, finish](uint32_t attempt) {
-      auto self = weak_send.lock();
-      if (!self) {
-        return;
-      }
-      endpoint_.Call(member, kSeqUpdateLogs, *body,
-                     [this, member, attempt, self, remaining, finish](Status s, Decoder) {
-                       if (!s.ok() && attempt + 1 < 10 && known_dead_.count(member) == 0) {
-                         endpoint_.loop()->Schedule(
-                             2 * kMs, [self, attempt]() { (*self)(attempt + 1); });
-                         return;
-                       }
-                       if (--*remaining == 0 && *finish) {
-                         (*finish)(Status::Ok());
-                       }
-                     },
-                     kStartViewAttemptTimeoutNs);
-    };
-    (*send)(0);
-  }
-}
-
-void Controller::UpdateSeqShards(NodeId old_node, NodeId new_node,
-                                 std::function<void(Status)> done) {
-  std::vector<NodeId> targets;
-  for (NodeId n : seq_replicas_) {
-    if (known_dead_.count(n) == 0) {
-      targets.push_back(n);
-    }
-  }
-  if (targets.empty()) {
-    if (done) {
-      done(Status::Ok());
-    }
-    return;
-  }
-  SeqUpdateShardsReq req{old_node, new_node};
-  Encoder enc;
-  req.Encode(enc);
-  auto body = std::make_shared<std::string>(enc.Take());
-  auto remaining = std::make_shared<size_t>(targets.size());
-  auto finish = std::make_shared<std::function<void(Status)>>(std::move(done));
-  for (NodeId member : targets) {
-    auto send = std::make_shared<std::function<void(uint32_t)>>();
-    // Weak self-reference for the same reason as in ReplaceShardReplica: the RPC
-    // callback / scheduled retry keep the closure alive, not the closure itself.
-    std::weak_ptr<std::function<void(uint32_t)>> weak_send = send;
-    *send = [this, member, body, weak_send, remaining, finish](uint32_t attempt) {
-      auto self = weak_send.lock();
-      if (!self) {
-        return;
-      }
-      endpoint_.Call(member, kSeqUpdateShards, *body,
-                     [this, member, attempt, self, remaining, finish](Status s, Decoder) {
-                       if (!s.ok() && attempt + 1 < 10 && known_dead_.count(member) == 0) {
-                         endpoint_.loop()->Schedule(
-                             2 * kMs, [self, attempt]() { (*self)(attempt + 1); });
-                         return;
-                       }
-                       if (--*remaining == 0 && *finish) {
-                         (*finish)(Status::Ok());
-                       }
-                     },
-                     kStartViewAttemptTimeoutNs);
-    };
-    (*send)(0);
-  }
+  std::copy_if(seq_replicas_.begin(), seq_replicas_.end(), std::back_inserter(targets),
+               [this](NodeId n) { return known_dead_.count(n) == 0; });
+  // A replica that died meanwhile settles too: only live replicas must adopt.
+  Fanout(&endpoint_, method, std::move(targets), std::move(body), kSeqPushRetry,
+         [this](NodeId n, const Status& s, Decoder&) { return s.ok() || known_dead_.count(n) > 0; },
+         nullptr, [done = std::move(done)](const FanoutOutcome& out) {
+           const std::vector<NodeId> missed = out.With(Settled::kExhausted);
+           if (done && missed.empty()) {
+             done(Status::Ok());
+           } else if (done) {
+             done(Status::Unavailable("sequencing replica " + std::to_string(missed[0]) +
+                                      " never acked the update"));
+           }
+         });
 }
 
 // --- shard primary failover ------------------------------------------------------------
@@ -735,18 +550,12 @@ void Controller::UpdateSeqShards(NodeId old_node, NodeId new_node,
 //   5. publish the shrunken replica order + promotion epoch to ZK "/shards/config" and
 //      re-point the index tier's delta feeds.
 
-namespace {
-// Rounds a promo-seal / promote RPC is retried before the target is presumed dead.
-constexpr uint32_t kPromoRoundLimit = 8;
-}  // namespace
-
 struct Controller::PromoState {
   uint32_t shard = 0;
   uint64_t promo_epoch = 0;
   NodeId old_primary = kInvalidNode;
   std::vector<NodeId> survivors;  // old order minus the primary and known-dead nodes
   std::map<NodeId, ShardCompletenessResp> reports;
-  std::set<NodeId> pending;  // seal acks outstanding
   NodeId new_primary = kInvalidNode;
   std::vector<NodeId> new_order;  // new primary first
   LogPos reset_upto = 0;
@@ -754,15 +563,8 @@ struct Controller::PromoState {
 };
 
 void Controller::PromoteShardPrimary(uint32_t shard, std::function<void(Status)> done) {
-  BeginShardOp(shard, [this, shard, done = std::move(done)]() mutable {
-    auto finish = [this, shard, done = std::move(done)](Status s) {
-      EndShardOp(shard);
-      if (done) {
-        done(std::move(s));
-      }
-    };
-    DoPromoteShardPrimary(shard, std::move(finish));
-  });
+  BeginShardOp(shard, std::move(done),
+               [this, shard](auto done) { DoPromoteShardPrimary(shard, std::move(done)); });
 }
 
 void Controller::DoPromoteShardPrimary(uint32_t shard, std::function<void(Status)> done) {
@@ -779,12 +581,9 @@ void Controller::DoPromoteShardPrimary(uint32_t shard, std::function<void(Status
   st->promo_epoch = ++shard_promo_epochs_[shard];
   st->done = std::move(done);
   dead_shard_servers_.insert(st->old_primary);
-  for (size_t i = 1; i < shards_[shard].size(); ++i) {
-    const NodeId n = shards_[shard][i];
-    if (dead_shard_servers_.count(n) == 0) {
-      st->survivors.push_back(n);
-    }
-  }
+  std::copy_if(shards_[shard].begin() + 1, shards_[shard].end(),
+               std::back_inserter(st->survivors),
+               [this](NodeId n) { return dead_shard_servers_.count(n) == 0; });
   if (st->survivors.empty()) {
     LLOG(kError) << "controller: shard " << shard << " has no surviving replica to promote";
     st->done(Status::Unavailable("no surviving replica"));
@@ -794,64 +593,41 @@ void Controller::DoPromoteShardPrimary(uint32_t shard, std::function<void(Status
   failover_timing_.shard = shard;
   failover_timing_.detected_at = endpoint_.loop()->Now();
   failover_timing_.old_primary = st->old_primary;
-  st->pending.insert(st->survivors.begin(), st->survivors.end());
   LLOG(kInfo) << "controller: promoting shard " << shard << " (old primary "
               << st->old_primary << ", epoch " << st->promo_epoch << ")";
-  PromoSealRound(st, 0);
+  PromoSeal(st);
 }
 
-void Controller::PromoSealRound(std::shared_ptr<PromoState> st, uint32_t attempt) {
-  if (st->pending.empty()) {
-    SelectAndPromote(st);
-    return;
-  }
-  ShardPromoSealReq req{st->promo_epoch};
-  Encoder enc;
-  req.Encode(enc);
-  const Buf body = enc.TakeBuf();
-  const std::vector<NodeId> round(st->pending.begin(), st->pending.end());
-  auto remaining = std::make_shared<size_t>(round.size());
-  for (NodeId n : round) {
-    endpoint_.Call(n, kShardPromoSeal, body,
-                   [this, st, n, remaining, attempt](Status s, Decoder d) {
-                     ShardCompletenessResp resp;
-                     if (s.ok() && resp.Decode(d)) {
-                       st->reports[n] = resp;
-                       st->pending.erase(n);
-                     }
-                     if (--*remaining > 0) {
-                       return;
-                     }
-                     if (st->pending.empty()) {
-                       failover_timing_.sealed_at = endpoint_.loop()->Now();
-                       SelectAndPromote(st);
-                       return;
-                     }
-                     if (attempt + 1 >= kPromoRoundLimit) {
-                       // Non-responders are presumed dead too: drop them and promote
-                       // from the replicas that did seal — a failover cannot wait
-                       // forever on a second casualty.
-                       for (NodeId drop : st->pending) {
-                         LLOG(kWarn) << "controller: survivor " << drop
-                                     << " never promo-sealed; dropping from shard "
-                                     << st->shard;
-                         dead_shard_servers_.insert(drop);
-                       }
-                       st->pending.clear();
-                       if (st->reports.empty()) {
-                         st->done(Status::Unavailable("no survivor reachable for promotion"));
-                         return;
-                       }
-                       failover_timing_.sealed_at = endpoint_.loop()->Now();
-                       SelectAndPromote(st);
-                       return;
-                     }
-                     endpoint_.loop()->Schedule(kFenceRetryNs, [this, st, attempt]() {
-                       PromoSealRound(st, attempt + 1);
-                     });
-                   },
-                   kFenceAttemptTimeoutNs);
-  }
+void Controller::PromoSeal(std::shared_ptr<PromoState> st) {
+  const std::set<NodeId> targets(st->survivors.begin(), st->survivors.end());
+  Fanout(&endpoint_, kShardPromoSeal, {targets.begin(), targets.end()},
+         Encoded(ShardPromoSealReq{st->promo_epoch}),
+         kPromoteRetry,
+         [st](NodeId n, const Status& s, Decoder& d) {
+           ShardCompletenessResp resp;
+           if (!s.ok() || !resp.Decode(d)) {
+             return false;
+           }
+           st->reports[n] = resp;
+           return true;
+         },
+         nullptr,
+         [this, st](const FanoutOutcome& out) {
+           // Non-responders are presumed dead too: drop them and promote from the
+           // replicas that did seal — a failover cannot wait forever on a second
+           // casualty.
+           for (NodeId drop : out.With(Settled::kExhausted)) {
+             LLOG(kWarn) << "controller: survivor " << drop
+                         << " never promo-sealed; dropping from shard " << st->shard;
+             dead_shard_servers_.insert(drop);
+           }
+           if (st->reports.empty()) {
+             st->done(Status::Unavailable("no survivor reachable for promotion"));
+             return;
+           }
+           failover_timing_.sealed_at = endpoint_.loop()->Now();
+           SelectAndPromote(st);
+         });
 }
 
 void Controller::SelectAndPromote(std::shared_ptr<PromoState> st) {
@@ -879,96 +655,68 @@ void Controller::SelectAndPromote(std::shared_ptr<PromoState> st) {
   }
   st->new_primary = best;
   failover_timing_.new_primary = best;
-  st->new_order.clear();
-  st->new_order.push_back(best);
-  for (NodeId n : st->survivors) {
-    if (n != best && st->reports.count(n) > 0) {
-      st->new_order.push_back(n);
-    }
-  }
+  st->new_order = {best};
+  std::copy_if(st->survivors.begin(), st->survivors.end(), std::back_inserter(st->new_order),
+               [&](NodeId n) { return n != best && st->reports.count(n) > 0; });
 
+  // The promote request carries the current order and each member's applied frontier;
+  // the primary's ack carries the frontier the orderer must resume from.
+  auto promote = [this, st](std::vector<NodeId> targets, FanoutDone done) {
+    ShardPromoteReq req;
+    req.promo_epoch = st->promo_epoch;
+    for (NodeId n : st->new_order) {
+      req.order.push_back(n);
+      auto it = st->reports.find(n);
+      req.peer_applied.push_back(it != st->reports.end() ? it->second.order_applied : 0);
+    }
+    Fanout(&endpoint_, kShardPromote, std::move(targets), Encoded(req),
+           kPromoteRetry,
+           [st](NodeId n, const Status& s, Decoder& d) {
+             ShardOrderAckResp resp;
+             if (!s.ok() || !resp.Decode(d)) {
+               return false;
+             }
+             if (n == st->new_primary) {
+               st->reset_upto = resp.applied_upto;
+             }
+             return true;
+           },
+           nullptr, std::move(done));
+  };
   // Install the new order on the peers FIRST: by the time the new primary flips (and
   // starts catching peers up / back-filling from them), every peer already points its
   // repair path and fetch timers at it and accepts its replication traffic.
-  auto acked = std::make_shared<std::set<NodeId>>();
-  auto after_peers = [this, st, acked]() {
+  promote({st->new_order.begin() + 1, st->new_order.end()}, [this, st, promote](
+                                                                const FanoutOutcome& peers) {
     // Peers that never acked the promote are presumed dead: prune them from the order
     // given to the new primary so its replication acks never gate on a corpse.
     std::vector<NodeId> pruned{st->new_primary};
-    for (size_t i = 1; i < st->new_order.size(); ++i) {
-      const NodeId n = st->new_order[i];
-      if (acked->count(n) > 0) {
-        pruned.push_back(n);
+    for (size_t i = 0; i < peers.targets.size(); ++i) {
+      if (peers.settled[i] == Settled::kAcked) {
+        pruned.push_back(peers.targets[i]);
       } else {
-        LLOG(kWarn) << "controller: peer " << n << " never acked promote; dropping";
-        dead_shard_servers_.insert(n);
+        LLOG(kWarn) << "controller: peer " << peers.targets[i] << " never acked promote; dropping";
+        dead_shard_servers_.insert(peers.targets[i]);
       }
     }
     st->new_order = std::move(pruned);
-    SendPromote(st, st->new_primary, 0, [this, st](Status s, LogPos upto) {
-      if (!s.ok()) {
-        // The candidate died mid-promotion: mark it dead and restart the protocol;
-        // the next round seals the remaining survivors under a higher epoch.
+    promote({st->new_primary}, [this, st](const FanoutOutcome& out) {
+      if (out.settled[0] != Settled::kAcked) {
+        // The candidate died mid-promotion: mark it dead and restart the protocol; the
+        // next round seals the remaining survivors under a higher epoch.
         LLOG(kWarn) << "controller: promote of candidate " << st->new_primary
-                    << " failed (" << s.ToString() << "); restarting promotion";
+                    << " failed; restarting promotion";
         dead_shard_servers_.insert(st->new_primary);
-        endpoint_.loop()->Schedule(1 * kMs, [this, st]() {
+        endpoint_.loop()->Schedule(kRestartNs, [this, st]() {
           DoPromoteShardPrimary(st->shard, std::move(st->done));
         });
         return;
       }
-      st->reset_upto = upto;
       failover_timing_.handoff_at = endpoint_.loop()->Now();
-      failover_timing_.reset_upto = upto;
+      failover_timing_.reset_upto = st->reset_upto;
       FinishPromotion(st);
     });
-  };
-  if (st->new_order.size() == 1) {
-    after_peers();
-    return;
-  }
-  auto remaining = std::make_shared<size_t>(st->new_order.size() - 1);
-  for (size_t i = 1; i < st->new_order.size(); ++i) {
-    const NodeId peer = st->new_order[i];
-    SendPromote(st, peer, 0, [peer, acked, remaining, after_peers](Status s, LogPos) {
-      if (s.ok()) {
-        acked->insert(peer);
-      }
-      if (--*remaining == 0) {
-        after_peers();
-      }
-    });
-  }
-}
-
-void Controller::SendPromote(std::shared_ptr<PromoState> st, NodeId target, uint32_t attempt,
-                             std::function<void(Status, LogPos)> cb) {
-  ShardPromoteReq req;
-  req.promo_epoch = st->promo_epoch;
-  for (NodeId n : st->new_order) {
-    req.order.push_back(n);
-    auto it = st->reports.find(n);
-    req.peer_applied.push_back(it != st->reports.end() ? it->second.order_applied : 0);
-  }
-  Encoder enc;
-  req.Encode(enc);
-  endpoint_.Call(target, kShardPromote, enc,
-                 [this, st, target, attempt, cb = std::move(cb)](Status s, Decoder d) mutable {
-                   ShardOrderAckResp resp;
-                   if (s.ok() && resp.Decode(d)) {
-                     cb(Status::Ok(), resp.applied_upto);
-                     return;
-                   }
-                   if (attempt + 1 < kPromoRoundLimit) {
-                     endpoint_.loop()->Schedule(
-                         kFenceRetryNs, [this, st, target, attempt, cb = std::move(cb)]() mutable {
-                           SendPromote(st, target, attempt + 1, std::move(cb));
-                         });
-                     return;
-                   }
-                   cb(s.ok() ? Status::Unavailable("bad promote ack") : std::move(s), 0);
-                 },
-                 kFenceAttemptTimeoutNs);
+  });
 }
 
 void Controller::FinishPromotion(std::shared_ptr<PromoState> st) {
@@ -978,10 +726,15 @@ void Controller::FinishPromotion(std::shared_ptr<PromoState> st) {
   // config will immediately append behind it.
   shards_[st->shard] = st->new_order;
   shard_epoch_++;
-  SeqShardFailoverReq req{st->shard, st->old_primary, st->new_primary, st->reset_upto};
-  SeqShardFailoverAll(req, [this, st]() {
-    WriteShardConfig([this, st](Status) {
-      UpdateIndexShards(st->old_primary, st->new_primary, 0);
+  const SeqShardFailoverReq req{st->shard, st->old_primary, st->new_primary, st->reset_upto};
+  // A replica that never acks does not stop the promotion: shards_ already holds the
+  // committed order, and the shard's survivors were sealed and re-pointed against it.
+  PushToSeqReplicas(kSeqShardFailover, Encoded(req), [this, st](Status) {
+    WriteShardConfig([this, st]() {
+      // Re-point the index tier's delta feeds at the promoted primary.
+      Fanout(&endpoint_, kSeqUpdateShards, index_nodes_,
+             Encoded(SeqUpdateShardsReq{st->old_primary, st->new_primary}), kIndexPushRetry,
+             nullptr, nullptr, nullptr);
       promotions_++;
       failover_timing_.opened_at = endpoint_.loop()->Now();
       failover_timing_.complete = true;
@@ -994,72 +747,6 @@ void Controller::FinishPromotion(std::shared_ptr<PromoState> st) {
       st->done(Status::Ok());
     });
   });
-}
-
-void Controller::SeqShardFailoverAll(const SeqShardFailoverReq& req,
-                                     std::function<void()> done) {
-  std::vector<NodeId> targets;
-  for (NodeId n : seq_replicas_) {
-    if (known_dead_.count(n) == 0) {
-      targets.push_back(n);
-    }
-  }
-  if (targets.empty()) {
-    done();
-    return;
-  }
-  Encoder enc;
-  req.Encode(enc);
-  auto body = std::make_shared<std::string>(enc.Take());
-  auto remaining = std::make_shared<size_t>(targets.size());
-  auto finish = std::make_shared<std::function<void()>>(std::move(done));
-  for (NodeId member : targets) {
-    auto send = std::make_shared<std::function<void(uint32_t)>>();
-    // Weak self-reference, same idiom as UpdateSeqShards.
-    std::weak_ptr<std::function<void(uint32_t)>> weak_send = send;
-    *send = [this, member, body, weak_send, remaining, finish](uint32_t attempt) {
-      auto self = weak_send.lock();
-      if (!self) {
-        return;
-      }
-      endpoint_.Call(member, kSeqShardFailover, *body,
-                     [this, member, attempt, self, remaining, finish](Status s, Decoder) {
-                       if (!s.ok() && attempt + 1 < 10 && known_dead_.count(member) == 0) {
-                         endpoint_.loop()->Schedule(
-                             2 * kMs, [self, attempt]() { (*self)(attempt + 1); });
-                         return;
-                       }
-                       if (--*remaining == 0) {
-                         (*finish)();
-                       }
-                     },
-                     kStartViewAttemptTimeoutNs);
-    };
-    (*send)(0);
-  }
-}
-
-void Controller::UpdateIndexShards(NodeId old_node, NodeId new_node, uint32_t attempt) {
-  if (index_nodes_.empty()) {
-    return;
-  }
-  SeqUpdateShardsReq req{old_node, new_node};
-  Encoder enc;
-  req.Encode(enc);
-  const Buf body = enc.TakeBuf();
-  auto rearmed = std::make_shared<bool>(false);
-  for (NodeId n : index_nodes_) {
-    endpoint_.Call(n, kSeqUpdateShards, body,
-                   [this, old_node, new_node, attempt, rearmed](Status s, Decoder) {
-                     if (!s.ok() && attempt + 1 < 5 && !*rearmed) {
-                       *rearmed = true;
-                       endpoint_.loop()->Schedule(2 * kMs, [this, old_node, new_node, attempt]() {
-                         UpdateIndexShards(old_node, new_node, attempt + 1);
-                       });
-                     }
-                   },
-                   kFenceAttemptTimeoutNs);
-  }
 }
 
 // --- stats -----------------------------------------------------------------------------

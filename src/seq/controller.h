@@ -4,7 +4,10 @@
 // unordered log to the shards, persists the new configuration to ZooKeeper, advances
 // stable-gp, and starts the new view. Every step retries under partitions: the
 // controller assumes links heal eventually and never trades consistency for progress
-// (a deposed leader is kept out by the shard fence, not by reachability).
+// (a deposed leader is kept out by the shard fence, not by reachability). Each step
+// that reaches a set of servers is one Fanout (src/seq/fanout.h): the same request to
+// every target, each target retried on its own under the step's timeout, backoff and
+// attempt limit until it acks, is dropped, or runs out of attempts.
 //
 // The controller also owns shard membership: the replica matrix is persisted to
 // ZooKeeper ("/shards/config", versioned by an epoch) and replica replacement flows
@@ -82,7 +85,7 @@ class Controller {
   // primary over RPC, the new membership is persisted to ZK under a bumped epoch, and
   // the sequencing replicas re-wire their push/broadcast lists via kSeqUpdateShards.
   // Clients learn by refreshing "/shards/config". `done` fires once the sequencing
-  // layer has adopted the change.
+  // layer has adopted the change, with Unavailable if a live replica never acked.
   void ReplaceShardReplica(uint32_t shard, uint32_t replica_index, NodeId new_node,
                            std::function<void(Status)> done = nullptr);
 
@@ -114,8 +117,9 @@ class Controller {
   // kSeqUpdateLogs push to the sequencing replicas proceed asynchronously, and `done`
   // fires once every live replica has adopted the new table (quota enforcement is
   // leader-only, so appends admitted before adoption are merely unthrottled, never
-  // unsafe). Re-creating a live name returns the existing id. `quota_per_sec` caps the
-  // log's admitted appends/s at the leader; 0 = unlimited.
+  // unsafe), or with Unavailable naming a live replica that never acked. Re-creating a
+  // live name returns the existing id. `quota_per_sec` caps the log's admitted appends/s
+  // at the leader; 0 = unlimited.
   LogId CreateLog(const std::string& name, uint64_t quota_per_sec = 0,
                   std::function<void(Status)> done = nullptr);
   // Tombstones the named log: the id stays reserved, the leader refuses new appends.
@@ -144,54 +148,46 @@ class Controller {
 
  private:
   void OnReplicaDown(const std::string& path);
-  void RunReconfiguration();
   // Seals the live old-view sequencing replicas and fences every shard server into
   // view_+1, in parallel; retries with backoff until at least one replica is sealed and
   // every (still-member) shard server acked the fence.
   void SealAll(uint32_t attempt);
-  void FenceShards(ViewId fence_view, std::shared_ptr<std::set<NodeId>> pending,
-                   std::function<void()> done);
-  void FlushRecovery(std::vector<NodeId> live, NodeId recovery, uint32_t attempt);
-  void FinishView(std::vector<NodeId> new_config, LogPos ordered_gp,
-                  std::vector<WireRecordId> flushed_ids, uint32_t attempt);
-  // Per-member StartView with retries; a kWrongView reply means the member already
-  // adopted this (or a later) view and counts as success.
-  void StartViewMember(NodeId member, std::shared_ptr<std::string> body, ViewId new_view,
-                       std::function<void()> acked);
   // Background re-seal of old-view members that did not ack the seal in time (e.g. a
-  // leader partitioned from the controller but not from clients). Uses the current
-  // view so the target's "stale seal" check passes.
-  void ResealLoop();
+  // leader partitioned from the controller but not from clients), until each one is
+  // sealed or started into a newer view. Seals with `sealed_view`, the view the node
+  // must be sealed out of, so the target's "stale seal" check passes.
+  void Reseal(std::vector<NodeId> nodes, ViewId sealed_view);
   // ZK watch notifications are droppable; periodically reconcile the ephemeral listing
   // against the current config and synthesize the missed failure events.
   void ReconcilePoll();
-  void WriteShardConfig(std::function<void(Status)> done);
+  // Has the recovery replica, new_config[0], flush its log to the shards.
+  void FlushRecovery(std::vector<NodeId> new_config);
+  void FinishView(std::vector<NodeId> new_config, LogPos ordered_gp,
+                  std::vector<WireRecordId> flushed_ids);
+  // Writes `path` until ZK acks, encoding the data afresh for every attempt.
+  void WriteZk(std::string path, std::function<std::string()> encode,
+               std::function<void()> done);
+  void WriteShardConfig(std::function<void()> done);
   std::string EncodeShardConfig() const;
-  // Persists the log registry to "/logs/config" (retrying like WriteShardConfig) and
-  // pushes it to every live sequencing replica via kSeqUpdateLogs.
-  void WriteLogConfig();
-  void PushLogRegistry(std::function<void(Status)> done);
-  void UpdateSeqShards(NodeId old_node, NodeId new_node, std::function<void(Status)> done);
+  // Persists the log registry to "/logs/config" and pushes it to the sequencing replicas.
+  void PublishLogRegistry(std::function<void(Status)> done);
+  // Pushes `body` to every live sequencing replica. `done` gets Unavailable naming a
+  // live replica that never acked, OK otherwise.
+  void PushToSeqReplicas(MethodId method, Buf body, std::function<void(Status)> done);
   std::vector<NodeId> AllShardServers() const;
 
   // Per-shard membership-op serialization: a promotion racing an in-flight backup
-  // replacement (or vice versa) queues until the earlier op finishes.
-  void BeginShardOp(uint32_t shard, std::function<void()> op);
+  // replacement (or vice versa) queues until the earlier op finishes. `op` gets `done`
+  // wrapped so that completing the op also ends it.
+  void BeginShardOp(uint32_t shard, std::function<void(Status)> done,
+                    std::function<void(std::function<void(Status)>)> op);
   void EndShardOp(uint32_t shard);
-  void DoReplaceShardReplica(uint32_t shard, NodeId old_node, NodeId new_node,
-                             std::function<void(Status)> done);
   // Promotion state machine steps.
   struct PromoState;
   void DoPromoteShardPrimary(uint32_t shard, std::function<void(Status)> done);
-  void PromoSealRound(std::shared_ptr<PromoState> st, uint32_t attempt);
+  void PromoSeal(std::shared_ptr<PromoState> st);
   void SelectAndPromote(std::shared_ptr<PromoState> st);
-  void SendPromote(std::shared_ptr<PromoState> st, NodeId target, uint32_t attempt,
-                   std::function<void(Status, LogPos)> cb);
   void FinishPromotion(std::shared_ptr<PromoState> st);
-  void SeqShardFailoverAll(const SeqShardFailoverReq& req, std::function<void()> done);
-  // Re-points the index tier's delta feeds at the promoted primary; fire-and-forget
-  // with bounded retries (the index is an access path, never an ack dependency).
-  void UpdateIndexShards(NodeId old_node, NodeId new_node, uint32_t attempt);
 
   RpcEndpoint endpoint_;
   SimParams params_;
@@ -220,10 +216,9 @@ class Controller {
   bool pending_failure_ = false;
   // Nodes known dead (their liveness ephemerals vanished); skipped when sealing.
   std::set<NodeId> known_dead_;
-  // Live old-view members that have not acked a seal yet (asymmetric partitions),
-  // mapped to the view they must be sealed out of.
-  std::map<NodeId, ViewId> reseal_pending_;
-  bool reseal_armed_ = false;
+  // Live old-view members that have not acked a seal yet (asymmetric partitions); each
+  // has a Reseal chain running.
+  std::set<NodeId> reseal_pending_;
   // Ephemeral paths ever observed by ReconcilePoll; a path is only treated as a missed
   // failure once it has been seen and then vanished.
   std::set<std::string> seen_paths_;

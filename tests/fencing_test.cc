@@ -260,5 +260,28 @@ TEST(Fencing, ShardReplacementFlowsThroughControlPlaneToClients) {
   EXPECT_EQ(late->shard_epoch(), 2u);
 }
 
+// A config push that a live sequencing replica never acks is reported, not hidden. The
+// controller is cut off from replica 1 while the replica's ZooKeeper link stays up, so
+// its session never lapses and it never counts as dead: CreateLog's callback must get
+// Unavailable naming it once the push runs out of attempts.
+TEST(Fencing, UnackedConfigPushIsReported) {
+  ErwinCluster c(MOptions());
+  c.RunFor(20 * kMs);
+  const NodeId cut = c.seq_replica(1).node_id();
+  c.network().SetPartitioned(c.controller()->node_id(), cut, true);
+  bool fired = false;
+  Status status;
+  c.controller()->CreateLog("x", 0, [&](Status s) {
+    status = std::move(s);
+    fired = true;
+  });
+  RunUntilDone(c.loop(), fired, 500 * kMs);
+  ASSERT_TRUE(fired);
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
+  EXPECT_NE(status.ToString().find(std::to_string(cut)), std::string::npos)
+      << status.ToString();
+}
+
+
 }  // namespace
 }  // namespace lazylog
