@@ -8,6 +8,7 @@
 
 #include "bench/bench_util.h"
 #include "src/lazylog/erwin_cluster.h"
+#include "src/storage/shard_messages.h"
 
 namespace lazylog {
 namespace {
@@ -68,7 +69,7 @@ double Saturate(ErwinMode mode, uint32_t shards, size_t record_bytes) {
   } else {
     const double disk = shards * params.disk.write_bandwidth_bytes_per_sec / record_bytes;
     const double meta =
-        1e9 / (params.seq_cpu.fixed_ns + params.seq.metadata_entry_bytes /
+        1e9 / (params.seq_cpu.fixed_ns + kMetaEntryBytes /
                                              params.seq_cpu.copy_bandwidth_bytes_per_sec * 1e9);
     capacity = std::min(disk, meta);
   }

@@ -1,5 +1,5 @@
 // Read-path scale-out: aggregate read throughput vs reader count, load-aware routing
-// (client_read.read_routing_mode=2, the default) vs primary-pinned (mode 0), on
+// (client_read.route_stable_reads, the default) vs primary-pinned (routing off), on
 // Erwin-st with 3-replica shards. Every reader scans the stable prefix in a closed
 // loop; pinned mode funnels all of that onto the shard primaries, while p2c routing
 // spreads it over every replica — with R-way replication the read capacity ceiling is
@@ -82,13 +82,13 @@ struct ScaleoutResult {
   uint64_t backup_reads = 0; // server-side: reads served by non-primaries
 };
 
-ScaleoutResult RunScaleout(uint32_t readers, uint32_t routing_mode) {
+ScaleoutResult RunScaleout(uint32_t readers, bool route_stable_reads) {
   ErwinClusterOptions opt;
   opt.mode = ErwinMode::kSt;
   opt.num_shards = kShards;
   opt.shard_replication = kReplication;
   opt.with_control_plane = false;
-  opt.params.client_read.read_routing_mode = routing_mode;
+  opt.params.client_read.route_stable_reads = route_stable_reads;
   // Measure server-served reads only: client-side prefetch would hide part of the
   // replica load this bench is about.
   opt.params.client_read.readahead_records = 0;
@@ -165,13 +165,13 @@ struct TailResult {
   uint64_t tail_cache_hits = 0;
 };
 
-TailResult RunFig10(uint32_t routing_mode) {
+TailResult RunFig10(bool route_stable_reads) {
   ErwinClusterOptions opt;
   opt.mode = ErwinMode::kM;
   opt.num_shards = 1;
   opt.shard_replication = kReplication;
   opt.with_control_plane = false;
-  opt.params.client_read.read_routing_mode = routing_mode;
+  opt.params.client_read.route_stable_reads = route_stable_reads;
   ErwinCluster cluster(opt);
   std::vector<std::unique_ptr<SharedLogClient>> clients;
   for (size_t i = 0; i < 4; ++i) {
@@ -205,8 +205,8 @@ int main(int argc, char** argv) {
   const std::vector<uint32_t> sweep =
       smoke ? std::vector<uint32_t>{4, 24} : std::vector<uint32_t>{1, 2, 4, 8, 16, 24, 32};
   for (uint32_t readers : sweep) {
-    const ScaleoutResult routed = RunScaleout(readers, /*routing_mode=*/2);
-    const ScaleoutResult pinned = RunScaleout(readers, /*routing_mode=*/0);
+    const ScaleoutResult routed = RunScaleout(readers, /*route_stable_reads=*/true);
+    const ScaleoutResult pinned = RunScaleout(readers, /*route_stable_reads=*/false);
     const double speedup = pinned.tput > 0 ? routed.tput / pinned.tput : 0;
     std::printf("  %-10u %-18.0f %-18.0f %-10.2fx %-14.2f\n", readers, routed.tput,
                 pinned.tput, speedup, routed.backup_share);
@@ -229,8 +229,8 @@ int main(int argc, char** argv) {
   PrintPaperNote("replication-factor times the pinned ceiling once readers saturate it.");
 
   std::printf("\n-- Figure 10 workload (periodic checkTail + read-to-tail), routed vs pinned --\n");
-  const TailResult routed_tail = RunFig10(/*routing_mode=*/2);
-  const TailResult pinned_tail = RunFig10(/*routing_mode=*/0);
+  const TailResult routed_tail = RunFig10(/*route_stable_reads=*/true);
+  const TailResult pinned_tail = RunFig10(/*route_stable_reads=*/false);
   std::printf("  routed  mean=%-10s tail-cache hits=%llu\n",
               FormatNanos(routed_tail.mean).c_str(),
               static_cast<unsigned long long>(routed_tail.tail_cache_hits));

@@ -14,6 +14,7 @@
 
 #include "bench/bench_util.h"
 #include "src/lazylog/erwin_cluster.h"
+#include "src/storage/shard_messages.h"
 
 namespace lazylog {
 namespace {
@@ -92,7 +93,7 @@ Measurement MeasureAt(double offered, bool adaptive, uint64_t run_ns = kRun,
 double MeasureKnee() {
   const SimParams params;
   const double capacity =
-      1e9 / (kSeqFixedNs + params.seq.metadata_entry_bytes /
+      1e9 / (kSeqFixedNs + kMetaEntryBytes /
                                params.seq_cpu.copy_bandwidth_bytes_per_sec * 1e9);
   double offered = 0.7 * capacity;
   double best = 0;

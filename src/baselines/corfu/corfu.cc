@@ -250,8 +250,7 @@ void CorfuClient::CheckTail(TailCallback cb) {
 }
 
 bool CorfuClient::CachedTail(LogPos* durable, LogPos* stable) {
-  if (!tails_.Get(endpoint_.loop()->Now(), params_.client_read.tail_cache_ttl_ns, durable,
-                  stable)) {
+  if (!tails_.Get(endpoint_.loop()->Now(), durable, stable)) {
     return false;
   }
   read_stats_.tail_cache_hits++;

@@ -76,7 +76,7 @@ class CorfuClient : public SharedLogClient {
   void AppendAt(const AppendOptions& options, Buf payload, AppendPosCallback cb);
 
   // Most recent committed tail heard from CheckTail; fresher than
-  // client_read.tail_cache_ttl_ns only (Corfu binds eagerly, so durable == stable).
+  // TailCache::kTtlNs only (Corfu binds eagerly, so durable == stable).
   bool CachedTail(LogPos* durable, LogPos* stable) override;
 
  protected:

@@ -106,7 +106,7 @@ class ScalogClient : public SharedLogClient {
                std::vector<NodeId> shard_primaries, ClientId client_id);
 
   // Most recent committed tail heard from CheckTail; fresher than
-  // client_read.tail_cache_ttl_ns only (Scalog acks post-cut, so durable == stable).
+  // TailCache::kTtlNs only (Scalog acks post-cut, so durable == stable).
   bool CachedTail(LogPos* durable, LogPos* stable) override;
 
  protected:

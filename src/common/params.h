@@ -43,27 +43,12 @@ struct DiskParams {
 struct SeqParams {
   int num_replicas = 3;                    // 1 leader + 2 followers (f=2 with f+1... paper: f+1)
   uint64_t ordering_interval_ns = 30 * kUs;  // background ordering cadence
-  uint64_t metadata_entry_bytes = 32;      // Erwin-st <record-id, shard-id> tuple
-  uint64_t st_data_timeout_ns = 2 * kMs;   // Erwin-st missing-data no-op timeout (§5.4)
-  // Retry timeout for the orderer's batch pushes to the shards. Deliberately much
-  // shorter than the generic rpc timeout: a lost push stalls the whole ordering
-  // pipeline (30us cadence) until the retry fires, so waiting out a 50 ms timeout
-  // turns one dropped packet into a 50 ms stable-gp stall.
-  uint64_t order_push_timeout_ns = 5 * kMs;
   // Per-shard ordering pipeline (§4.3 redesign): each shard cursor keeps up to this
   // many ordering windows in flight independently of the other shards, so a slow shard
   // no longer stalls the others and retries are per shard instead of whole-batch.
   uint32_t order_pipeline_depth = 4;
   // Maximum positions covered by one ordering window pushed to a shard.
   uint64_t max_order_batch = 16384;
-  // Initial backoff before a failed shard cursor retries its window; doubles per
-  // consecutive failure up to order_push_timeout_ns.
-  uint64_t order_retry_backoff_ns = 60 * kUs;
-  // Age after which unmatched data in the Erwin-st unordered pool is scrubbed as a
-  // client-crash orphan (§5.4). Must dominate the worst-case ordering stall (chained
-  // order-push retries): data of an acked-but-not-yet-ordered record that gets
-  // scrubbed here is later no-op'ed at bind time — losing an acknowledged append.
-  uint64_t st_orphan_scrub_age_ns = 400 * kMs;
 
   // --- Adaptive group commit (AIMD controller over the ordering cadence) ---
   // When enabled, the leader scales the effective ordering interval, per-window batch
@@ -78,8 +63,6 @@ struct SeqParams {
   // Floor for the adaptive per-window batch size (ceiling is max_order_batch). Keeps
   // windows large enough that shard pushes stay amortized even when the ring is empty.
   uint64_t min_order_batch = 2048;
-  // Ceiling for the adaptive per-shard pipeline depth (floor is order_pipeline_depth).
-  uint32_t max_order_pipeline_depth = 8;
 
   // --- Admission control (bounded unordered ring) ---
   // When enabled, appends arriving while ring occupancy (unordered entries + appends
@@ -93,7 +76,7 @@ struct SeqParams {
   uint64_t ring_high_watermark = 4096;
   uint64_t ring_low_watermark = 2048;
 
-  // --- Multi-tenant fairness + quotas (virtual-log layer) ---
+  // --- Multi-tenant fairness (virtual-log layer) ---
   // Deficit-round-robin fairness across phylogs inside the admission gate: each
   // ordering tick replenishes every active log's deficit with an equal share of the
   // tick's effective batch budget; once ring occupancy reaches the low watermark, an
@@ -102,17 +85,6 @@ struct SeqParams {
   // Deficit accumulation cap, in multiples of the per-tick share: lets a trickling
   // tenant bank a small burst allowance without hoarding unbounded credit.
   uint32_t fairness_burst_quanta = 4;
-  // Per-log quota token buckets burst allowance, as a fraction of the per-second
-  // quota (clamped to [16, 1024] tokens). The quota itself comes from the log
-  // registry (LogRegistryEntry::quota_per_sec); 0 = unlimited.
-  double quota_burst_fraction = 0.1;
-};
-
-// Index tier (selective reads): aggregator index nodes pull per-shard tag-index deltas
-// and merge them into per-tag global position lists, gated on stable-gp.
-struct IndexParams {
-  uint64_t delta_pull_interval_ns = 200 * kUs;  // per-shard delta poll cadence
-  uint32_t max_delta_entries = 4096;            // entries per pull (pagination)
 };
 
 // Control plane (ZooKeeperLite + controller). The paper attributes most of the ~15 ms
@@ -145,12 +117,10 @@ struct KafkaParams {
 // waiter queue provides the wait-for-stability semantics. Concurrent same-replica
 // sub-reads issued at the same simulated instant are coalesced into one RPC.
 struct ClientReadParams {
-  // 0 = always primary (pinned baseline),
-  // 2 = load-aware power-of-two-choices over per-replica EWMA of observed read
-  //     RTT plus server-piggybacked CPU queue depth (default).
-  uint32_t read_routing_mode = 2;
-  // EWMA smoothing for per-replica cost estimates fed by read replies.
-  double route_ewma_alpha = 0.3;
+  // true = load-aware power-of-two-choices over per-replica EWMA of observed read
+  //        RTT plus server-piggybacked CPU queue depth (default);
+  // false = always primary (pinned baseline).
+  bool route_stable_reads = true;
   // Max records packed into one multi-range read RPC; larger ranges are split into
   // chunks issued as independent pipelined RPCs so shard-side response serialization
   // CPU overlaps NIC transmission of earlier chunks.
@@ -158,9 +128,6 @@ struct ClientReadParams {
   // Sequential-reader speculative prefetch: on a fully-served read, fetch up to this
   // many records of the stable region past the cursor into a client cache. 0 = off.
   uint32_t readahead_records = 64;
-  // How long a piggybacked/CheckTail-learned tail stays fresh enough for
-  // CachedTail() to satisfy a poll without an RPC.
-  uint64_t tail_cache_ttl_ns = 1 * kMs;
   // Erwin-st position-map prefetch span per kShardPosMap fetch (was a hardcoded 1024).
   uint64_t posmap_readahead = 1024;
 };
@@ -174,7 +141,6 @@ struct SimParams {
   CpuParams shard_cpu{.fixed_ns = 3'000, .copy_bandwidth_bytes_per_sec = 2.0e9};
   DiskParams disk;
   SeqParams seq;
-  IndexParams index;
   ControlParams control;
   ScalogParams scalog;
   KafkaParams kafka;
@@ -182,22 +148,6 @@ struct SimParams {
   // Client append timeout: short enough that a sequencing-replica crash pushes clients
   // into config re-resolution on the same timescale as the control plane's recovery.
   uint64_t client_append_timeout_ns = 8 * kMs;
-  // Overload retry budget: how many times a client re-sends an append that admission
-  // control refused before surfacing kOverloaded. Deliberately small — under sustained
-  // overload admission is a lottery, and a long retry ladder both stretches the acked
-  // tail (winners accumulate the same backoffs as losers) and multiplies attempt load
-  // on the already-saturated sequencer. Failing fast keeps acked latency near the ring
-  // residence bound; the caller decides whether to re-submit.
-  uint32_t client_overload_retry_limit = 3;
-  // Quota backpressure propagation: after the leader refuses an append with
-  // kQuotaExceeded, the client sheds *fresh* appends to that log locally (same status,
-  // no wire traffic) for this window. Without it, a tenant offering a multiple of its
-  // quota turns into a refusal/retry storm that loads every replica's NIC and CPU —
-  // the noisy-neighbor damage quotas exist to prevent. In-flight retries still go out
-  // (their small budget drains the bucket's refill smoothly). 0 disables.
-  uint64_t client_quota_mute_ns = 2 * kMs;
-  // Erwin-st read path: position-map poll cadence while a position is not yet ordered.
-  uint64_t posmap_poll_interval_ns = 100 * kUs;
   ClientReadParams client_read;
   uint64_t seed = 1;
 };

@@ -10,6 +10,10 @@ namespace lazylog {
 namespace {
 // Size charged to the index node's CPU per merged/served tag entry (tag + position).
 constexpr uint64_t kEntryBytes = sizeof(TagIndexEntry);
+// Per-shard delta poll cadence.
+constexpr uint64_t kDeltaPullIntervalNs = 200 * kUs;
+// Entries per pull (pagination).
+constexpr uint32_t kMaxDeltaEntries = 4096;
 }  // namespace
 
 IndexNode::IndexNode(Network* net, const SimParams& params, uint32_t index, NodeId zk)
@@ -83,7 +87,7 @@ void IndexNode::SchedulePullTick() {
     return;
   }
   pulling_armed_ = true;
-  endpoint_.loop()->Schedule(params_.index.delta_pull_interval_ns, [this]() {
+  endpoint_.loop()->Schedule(kDeltaPullIntervalNs, [this]() {
     pulling_armed_ = false;
     PullTick();
     SchedulePullTick();
@@ -106,7 +110,7 @@ void IndexNode::PullShard(size_t s) {
   feed.inflight = true;
   ShardIndexDeltaReq req;
   req.from_seq = feed.next_seq;
-  req.max_entries = params_.index.max_delta_entries;
+  req.max_entries = kMaxDeltaEntries;
   endpoint_.CallMsg(feed.primary, kShardIndexDelta, req,
                     [this, s](Status st, Decoder body) { OnDelta(s, st, std::move(body)); },
                     params_.rpc_timeout_ns);
@@ -131,7 +135,7 @@ void IndexNode::OnDelta(size_t s, const Status& status, Decoder body) {
     return;
   }
   ++stats_.delta_pulls;
-  const bool full_page = resp.entries.size() >= params_.index.max_delta_entries;
+  const bool full_page = resp.entries.size() >= kMaxDeltaEntries;
   // Merge under the simulated CPU: the index node pays for what it ingests, so merge
   // throughput saturates like every other server in the model.
   const uint64_t cost_bytes = resp.entries.size() * kEntryBytes;

@@ -41,7 +41,7 @@ class ErwinClient : public SharedLogClient {
   // RPC outcome counters (chaos reports: how much of a run hit timeouts/retries).
   const RpcStats& rpc_stats() const { return endpoint_.stats(); }
   // Most recent durable/stable tail heard from CheckTail replies and read-reply
-  // piggybacks; true only while fresher than client_read.tail_cache_ttl_ns.
+  // piggybacks; true only while fresher than TailCache::kTtlNs.
   bool CachedTail(LogPos* durable, LogPos* stable) override;
   // Observer over every shard read reply (serving replica, advertised stable,
   // records); the chaos read-staleness oracle subscribes.
@@ -172,7 +172,7 @@ class ErwinClient : public SharedLogClient {
   uint64_t view_changes_ = 0;
   ViewId last_tail_view_ = 0;
   std::deque<std::shared_ptr<PendingAppend>> retry_queue_;
-  // Per-log client-side quota mute (see SimParams::client_quota_mute_ns).
+  // Per-log client-side quota mute (see kQuotaMuteNs in erwin_client.cc).
   std::map<LogId, SimTime> quota_muted_until_;
   ReadAheadCache readahead_;
   bool readahead_inflight_ = false;

@@ -4,6 +4,11 @@
 
 namespace lazylog {
 
+namespace {
+// Read path: position-map poll cadence while a position is not yet ordered.
+constexpr uint64_t kPosMapPollNs = 100 * kUs;
+}  // namespace
+
 // --- append (§5.1): data to the shard replicas + metadata to the sequencing replicas,
 // all in parallel, 1 RTT -------------------------------------------------------------------
 
@@ -72,10 +77,9 @@ void ErwinStClient::FetchRange(LogPos from, uint64_t len, ReadCallback cb) {
       return;
     }
     // Positions not ordered yet: slow path — poll until the ordering catches up.
-    endpoint_.loop()->Schedule(params_.posmap_poll_interval_ns,
-                               [this, from, len, cb = std::move(cb)]() mutable {
-                                 FetchRange(from, len, std::move(cb));
-                               });
+    endpoint_.loop()->Schedule(kPosMapPollNs, [this, from, len, cb = std::move(cb)]() mutable {
+      FetchRange(from, len, std::move(cb));
+    });
   });
 }
 

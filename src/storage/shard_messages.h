@@ -25,6 +25,10 @@ struct PositionedRecord {
   bool Decode(Decoder& d) { return d.GetU64(&pos) && DecodeRecord(d, &record); }
 };
 
+// Erwin-st <record-id, shard-id> tuple: the bytes one metadata entry costs the CPU
+// that handles it (sequencing replica append, shard window apply).
+constexpr uint64_t kMetaEntryBytes = 32;
+
 // One metadata entry: global position -> (record id, shard that holds the data).
 struct MetaEntry {
   static constexpr size_t kMinEncodedSize = 28;  // pos + record id + shard

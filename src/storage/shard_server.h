@@ -63,6 +63,14 @@ struct ShardStatsSnapshot {
 
 class ShardServer {
  public:
+  // Erwin-st missing-data no-op timeout (§5.4).
+  static constexpr uint64_t kStDataTimeoutNs = 2 * kMs;
+  // Age after which unmatched data in the Erwin-st unordered pool is scrubbed as a
+  // client-crash orphan (§5.4). Must dominate the worst-case ordering stall (chained
+  // order-push retries): data of an acked-but-not-yet-ordered record that gets
+  // scrubbed here is later no-op'ed at bind time — losing an acknowledged append.
+  static constexpr uint64_t kStOrphanScrubAgeNs = 400 * kMs;
+
   ShardServer(Network* net, const SimParams& params, ShardMode mode, ShardId shard_id);
 
   NodeId node_id() const { return endpoint_.node_id(); }
@@ -184,7 +192,7 @@ class ShardServer {
   // Ships [from, order_applied_) to one lagging peer as a replication window.
   void CatchUpPeer(NodeId peer, LogPos from, uint32_t attempt);
   // The fetch ladder: resolves one pending binding from a peer's copy. A backup asks its
-  // current primary and, on failure, retries after st_data_timeout_ns until the binding
+  // current primary and, on failure, retries after kStDataTimeoutNs until the binding
   // resolves. A primary (freshly promoted) asks replicas_[peer] and on failure moves to
   // the next peer; past the last peer it falls back to the no-op timer.
   void FetchPending(const RecordId& id, size_t peer);

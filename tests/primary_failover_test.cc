@@ -236,7 +236,7 @@ TEST(PrimaryFailover, RoutedReadsSurviveBackupPromotionMidFlight) {
   // read that lands on the dead primary propagates an error that the client's retry
   // ladder absorbs by re-resolving and retrying.
   ErwinCluster cluster(Options(ErwinMode::kSt));
-  ASSERT_EQ(cluster.params().client_read.read_routing_mode, 2u);
+  ASSERT_TRUE(cluster.params().client_read.route_stable_reads);
   auto client = cluster.MakeStClient();
   constexpr uint64_t kN = 16;
   for (uint64_t i = 0; i < kN; ++i) {

@@ -30,7 +30,7 @@ void Answer(ReplicaRouter& router, NodeId n, uint64_t elapsed_ns, uint64_t queue
 
 TEST(ReplicaRouter, ModeZeroAlwaysPicksPrimary) {
   SimParams params;
-  params.client_read.read_routing_mode = 0;
+  params.client_read.route_stable_reads = false;
   Rng rng(7);
   ReadPathStats stats;
   ReplicaRouter router(&params, &rng, &stats);
@@ -157,17 +157,17 @@ TEST(ReplicaRouter, MissesDoubleTheDeadlineUpToTheRpcTimeout) {
 TEST(TailCache, MaxMergeAndTtl) {
   TailCache cache;
   LogPos d = 0, s = 0;
-  EXPECT_FALSE(cache.Get(100, 1 * kMs, &d, &s)) << "empty cache served a tail";
+  EXPECT_FALSE(cache.Get(100, &d, &s)) << "empty cache served a tail";
 
   cache.Note(/*now=*/1000, /*durable=*/50, /*stable=*/40);
   cache.Note(/*now=*/2000, /*durable=*/45, /*stable=*/42);  // durable regression ignored
-  ASSERT_TRUE(cache.Get(2500, 1 * kMs, &d, &s));
+  ASSERT_TRUE(cache.Get(2500, &d, &s));
   EXPECT_EQ(d, 50u);  // max-merged: a late, lower sample never shrinks the cache
   EXPECT_EQ(s, 42u);
 
   // Past the TTL the cache refuses to serve, but the monotone values remain readable
   // through the raw accessors (routing decisions do not need freshness).
-  EXPECT_FALSE(cache.Get(2000 + 2 * kMs, 1 * kMs, &d, &s));
+  EXPECT_FALSE(cache.Get(2000 + 2 * kMs, &d, &s));
   EXPECT_EQ(cache.stable(), 42u);
   EXPECT_EQ(cache.durable(), 50u);
 }
@@ -209,13 +209,13 @@ TEST(ReadAheadCache, CapEvictsOldestPositions) {
 
 // --- cluster integration --------------------------------------------------------------
 
-ErwinClusterOptions Options(ErwinMode mode, uint32_t routing_mode) {
+ErwinClusterOptions Options(ErwinMode mode, bool route_stable_reads) {
   ErwinClusterOptions opt;
   opt.mode = mode;
   opt.num_shards = 2;
   opt.shard_replication = 3;
   opt.with_control_plane = true;
-  opt.params.client_read.read_routing_mode = routing_mode;
+  opt.params.client_read.route_stable_reads = route_stable_reads;
   return opt;
 }
 
@@ -255,7 +255,7 @@ uint64_t TotalMultiRangeReads(ErwinCluster& cluster) {
 }
 
 TEST(ReadRouting, StRoutedReadsHitBackupsAndStayCorrect) {
-  ErwinCluster cluster(Options(ErwinMode::kSt, /*routing_mode=*/2));
+  ErwinCluster cluster(Options(ErwinMode::kSt, /*route_stable_reads=*/true));
   auto client = cluster.MakeStClient();
   constexpr uint64_t kN = 48;
   FillLog(cluster, *client, kN);
@@ -285,7 +285,7 @@ TEST(ReadRouting, StRoutedReadsHitBackupsAndStayCorrect) {
 }
 
 TEST(ReadRouting, ModeZeroPinsEveryReadToThePrimary) {
-  ErwinCluster cluster(Options(ErwinMode::kSt, /*routing_mode=*/0));
+  ErwinCluster cluster(Options(ErwinMode::kSt, /*route_stable_reads=*/false));
   auto client = cluster.MakeStClient();
   constexpr uint64_t kN = 24;
   FillLog(cluster, *client, kN);
@@ -299,7 +299,7 @@ TEST(ReadRouting, ModeZeroPinsEveryReadToThePrimary) {
 }
 
 TEST(ReadRouting, ChunkingSplitsLargeReadsIntoPipelinedRpcs) {
-  ErwinClusterOptions opt = Options(ErwinMode::kSt, /*routing_mode=*/2);
+  ErwinClusterOptions opt = Options(ErwinMode::kSt, /*route_stable_reads=*/true);
   opt.params.client_read.read_chunk_records = 4;  // force chunking on small reads
   opt.params.client_read.readahead_records = 0;   // isolate the chunk counters
   ErwinCluster cluster(opt);
@@ -318,7 +318,7 @@ TEST(ReadRouting, ChunkingSplitsLargeReadsIntoPipelinedRpcs) {
 }
 
 TEST(ReadRouting, TailCacheAnswersAfterReadPiggyback) {
-  ErwinCluster cluster(Options(ErwinMode::kSt, /*routing_mode=*/2));
+  ErwinCluster cluster(Options(ErwinMode::kSt, /*route_stable_reads=*/true));
   auto client = cluster.MakeStClient();
   constexpr uint64_t kN = 8;
   FillLog(cluster, *client, kN);
@@ -333,12 +333,12 @@ TEST(ReadRouting, TailCacheAnswersAfterReadPiggyback) {
   EXPECT_GT(client->ReadPathSnapshot().counters.tail_cache_hits, 0u);
 
   // ...and refuses once the TTL lapses with no traffic refreshing it.
-  cluster.RunFor(cluster.params().client_read.tail_cache_ttl_ns + 1 * kMs);
+  cluster.RunFor(TailCache::kTtlNs + 1 * kMs);
   EXPECT_FALSE(client->CachedTail(&durable, &stable));
 }
 
 TEST(ReadRouting, SequentialReaderHitsReadahead) {
-  ErwinCluster cluster(Options(ErwinMode::kSt, /*routing_mode=*/2));
+  ErwinCluster cluster(Options(ErwinMode::kSt, /*route_stable_reads=*/true));
   auto client = cluster.MakeStClient();
   constexpr uint64_t kN = 40;
   FillLog(cluster, *client, kN);
@@ -361,7 +361,7 @@ TEST(ReadRouting, PosmapReadaheadParamAmortizesFetches) {
   // span of 4 needs a mapping RPC every 4 positions, while the default span covers the
   // whole scan in one fetch. Record prefetch is disabled so only the mapping path runs.
   auto scan = [](uint64_t span) {
-    ErwinClusterOptions opts = Options(ErwinMode::kSt, /*routing_mode=*/2);
+    ErwinClusterOptions opts = Options(ErwinMode::kSt, /*route_stable_reads=*/true);
     opts.params.client_read.posmap_readahead = span;
     opts.params.client_read.readahead_records = 0;
     ErwinCluster cluster(opts);
@@ -412,7 +412,7 @@ TEST(ReadRouting, LargeStableReadOnHealthyClusterSucceeds) {
   // and a 256-record chunk queued behind 3 others of the same read finishes only after
   // ~2 ms. Each chunk's deadline covers the chunks ahead of it, so no healthy chunk
   // misses and the whole read succeeds at its first attempt.
-  ErwinClusterOptions opt = Options(ErwinMode::kSt, /*routing_mode=*/2);
+  ErwinClusterOptions opt = Options(ErwinMode::kSt, /*route_stable_reads=*/true);
   opt.params.client_read.readahead_records = 0;
   ErwinCluster cluster(opt);
   auto client = cluster.MakeStClient();
@@ -429,7 +429,7 @@ TEST(ReadRouting, LargeIndexPathReadOnHealthyClusterSucceeds) {
   // one unchunked RPC: ~800 x 4 KB records per shard take ~2.7 ms to serialize and
   // send. That fetch's deadline covers its records, so nothing misses and the read is
   // served by the index path, not the full-scan fallback.
-  ErwinCluster cluster(Options(ErwinMode::kSt, /*routing_mode=*/2));
+  ErwinCluster cluster(Options(ErwinMode::kSt, /*route_stable_reads=*/true));
   const LogId big_id = cluster.CreateLog("big");
   ASSERT_NE(big_id, kDefaultLog);
   cluster.RunFor(5 * kMs);  // the controller pushes the registry to the replicas
@@ -459,7 +459,7 @@ TEST(ReadRouting, RecordsLargerThanAssumedStillRead) {
   // 16 KB records are 4x the size the router assumes before its first reply, so the
   // first attempt's chunks miss their deadlines; each miss doubles the replica's next
   // deadline, and a retry gets through and teaches the router the real size.
-  ErwinClusterOptions opt = Options(ErwinMode::kSt, /*routing_mode=*/2);
+  ErwinClusterOptions opt = Options(ErwinMode::kSt, /*route_stable_reads=*/true);
   opt.params.client_read.readahead_records = 0;
   ErwinCluster cluster(opt);
   auto client = cluster.MakeStClient();
@@ -480,7 +480,7 @@ TEST(ReadRouting, ColdClientMapsALongLogInOneFetch) {
   // of the whole prefix in one fetch. With the NICs slowed to 20 MB/s, 8000 positions
   // (64 KB of map) take ~3.2 ms to send, more than the fixed read slack: the fetch
   // deadline must grow with the span or every replica misses it.
-  ErwinClusterOptions opt = Options(ErwinMode::kSt, /*routing_mode=*/2);
+  ErwinClusterOptions opt = Options(ErwinMode::kSt, /*route_stable_reads=*/true);
   opt.params.net.bandwidth_bytes_per_sec = 20e6;
   opt.params.client_read.readahead_records = 0;
   ErwinCluster cluster(opt);
@@ -494,7 +494,7 @@ TEST(ReadRouting, ColdClientMapsALongLogInOneFetch) {
 }
 
 TEST(ReadRouting, MModeRoutesStableReadsAndFallsBackAboveStable) {
-  ErwinCluster cluster(Options(ErwinMode::kM, /*routing_mode=*/2));
+  ErwinCluster cluster(Options(ErwinMode::kM, /*route_stable_reads=*/true));
   auto client = cluster.MakeMClient();
   constexpr uint64_t kN = 36;
   FillLog(cluster, *client, kN);
