@@ -1,6 +1,6 @@
 // Stream index tier tests: shard-side tag journals feeding aggregator index nodes,
 // ReadNext(tag, from) selective reads on both Erwin clients, scan fallback when the
-// tier is absent or crashed, epoch fencing, and trim pruning.
+// tier is absent or crashed, epoch fencing, trim pruning, and the read-reply observer.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -113,6 +113,28 @@ TEST(IndexTier, StSelectiveReadEndToEnd) {
     ExpectStreamEquals(got, payloads[t], tags[t]);
   }
   EXPECT_GT(cluster.index_node(0).stats().read_nexts, 0u);
+}
+
+// Index-path shard fetches report their replies like every other read, so the chaos
+// read-staleness oracle sees ReadNext too.
+TEST(IndexTier, ReadNextRepliesReachTheReadObserver) {
+  ErwinClusterOptions opt;
+  opt.mode = ErwinMode::kM;
+  opt.num_shards = 3;
+  opt.shard_replication = 2;
+  ErwinCluster cluster(opt);
+  auto client = cluster.MakeMClient();
+  auto payloads = AppendStreams(cluster, *client, {5}, 6);
+  cluster.RunFor(100 * kMs);
+
+  size_t observed = 0;
+  client->SetReadReplyObserver(
+      [&](NodeId, LogPos, const std::vector<PositionedRecord>& records) {
+        observed += records.size();
+      });
+  auto got = DrainStream(cluster, *client, 5);
+  ExpectStreamEquals(got, payloads[0], 5);
+  EXPECT_EQ(observed, got.size());
 }
 
 // The merged per-tag position lists are disjoint across tags and cover exactly the
