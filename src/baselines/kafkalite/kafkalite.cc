@@ -411,9 +411,12 @@ void KafkaShardAdapter::HandleRead(Decoder d, Responder r) {
     r.Send(Status::InvalidArgument("bad read"));
     return;
   }
-  if (req->wait && req->ranges.front().pos >= stable_gp_) {
+  const LogPos first = req->ranges.front().pos;
+  if (req->wait && first >= stable_gp_) {
     slow_reads_++;
-    waiters_.push_back(Waiter{std::move(req), std::move(r)});
+    waiters_.Park(first, [this, req = std::move(req), r = std::move(r)]() mutable {
+      ServeNextRange(std::move(req), 0, std::make_shared<ShardReadResp>(), std::move(r));
+    });
     return;
   }
   ServeNextRange(std::move(req), 0, std::make_shared<ShardReadResp>(), std::move(r));
@@ -479,22 +482,9 @@ void KafkaShardAdapter::HandleSetStableGp(Decoder d, Responder r) {
     view_ = msg.view;
     stable_gp_ = std::max(stable_gp_, msg.stable_gp);
     durable_hint_ = std::max(durable_hint_, msg.durable_tail);
-    WakeWaiters();
+    waiters_.Wake(stable_gp_);
   }
   r.Send(Status::Ok());
-}
-
-void KafkaShardAdapter::WakeWaiters() {
-  auto waiters = std::move(waiters_);
-  waiters_.clear();
-  for (Waiter& w : waiters) {
-    if (w.req->ranges.front().pos < stable_gp_) {
-      ServeNextRange(std::move(w.req), 0, std::make_shared<ShardReadResp>(),
-                     std::move(w.responder));
-    } else {
-      waiters_.push_back(std::move(w));
-    }
-  }
 }
 
 void KafkaShardAdapter::HandleTrim(Decoder d, Responder r) {

@@ -20,6 +20,7 @@
 #include "src/sim/resources.h"
 #include "src/storage/segmented_log.h"
 #include "src/storage/shard_messages.h"
+#include "src/storage/stable_gp_waiters.h"
 
 namespace lazylog {
 
@@ -112,10 +113,6 @@ class KafkaShardAdapter {
   uint64_t slow_reads() const { return slow_reads_; }
 
  private:
-  struct Waiter {
-    std::shared_ptr<ShardReadReq> req;
-    Responder responder;
-  };
   // An ordering window awaiting its turn; the adapter applies windows strictly in
   // position order (one Kafka produce at a time), so the durable watermark it acks is
   // always a contiguous prefix.
@@ -132,7 +129,6 @@ class KafkaShardAdapter {
   // unstable/unknown ranges serve nothing (the client re-reads them).
   void ServeNextRange(std::shared_ptr<ShardReadReq> req, size_t i,
                       std::shared_ptr<ShardReadResp> resp, Responder r);
-  void WakeWaiters();
   // Sends `s` plus a ShardOrderAckResp carrying the durable watermark — on every
   // outcome, so a retrying ordering cursor can resynchronize from any reply.
   void SendWatermarkAck(Responder& r, const Status& s);
@@ -150,7 +146,7 @@ class KafkaShardAdapter {
   std::deque<LogPos> offset_pos_;  // kafka offset -> global pos (dense from offset_base_)
   uint64_t offset_base_ = 0;
   std::unordered_map<LogPos, uint64_t> pos_to_offset_;
-  std::vector<Waiter> waiters_;
+  StableGpWaiters waiters_;
   uint64_t slow_reads_ = 0;
   // Ordered-window frontier: positions < order_durable_ are produced to Kafka. Windows
   // arriving ahead of the frontier (pipelined cursors + network reordering) park in

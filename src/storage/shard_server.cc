@@ -636,7 +636,14 @@ void ShardServer::HandleRead(Decoder d, Responder r) {
     if (first >= stable_gp_ && !read_gate_disabled_) {
       // Slow path (§4.4): hold the read until stable-gp passes its first position.
       stats_.slow_reads++;
-      waiters_.push_back(Waiter{std::move(req), std::move(r)});
+      waiters_.Park(first, [this, req = std::move(req), r = std::move(r)]() mutable {
+        // A start trimmed while the read waited is refused, as it is on arrival.
+        if (req.ranges.front().pos < trimmed_below_) {
+          r.Send(Status::OutOfRange("position trimmed"));
+        } else {
+          ServeRead(req, std::move(r));
+        }
+      });
       return;
     }
   }
@@ -717,27 +724,8 @@ void ShardServer::HandleSetStableGp(Decoder d, Responder r) {
     stable_gp_observer_(view_, stable_gp_);
   }
   AdvanceTagIndex();
-  WakeWaiters();
+  waiters_.Wake(stable_gp_);
   r.Send(Status::Ok());
-}
-
-void ShardServer::WakeWaiters() {
-  std::vector<Waiter> still_waiting;
-  auto waiters = std::move(waiters_);
-  waiters_.clear();
-  for (Waiter& w : waiters) {
-    const LogPos first = w.req.ranges.front().pos;
-    if (first < trimmed_below_) {
-      w.responder.Send(Status::OutOfRange("position trimmed"));
-    } else if (first < stable_gp_) {
-      ServeRead(w.req, std::move(w.responder));
-    } else {
-      still_waiting.push_back(std::move(w));
-    }
-  }
-  for (Waiter& w : still_waiting) {
-    waiters_.push_back(std::move(w));
-  }
 }
 
 void ShardServer::HandlePosMap(Decoder d, Responder r) {

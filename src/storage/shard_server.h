@@ -23,6 +23,7 @@
 #include "src/sim/resources.h"
 #include "src/storage/segmented_log.h"
 #include "src/storage/shard_messages.h"
+#include "src/storage/stable_gp_waiters.h"
 
 namespace lazylog {
 
@@ -125,10 +126,6 @@ class ShardServer {
  private:
   struct BatchAck;
 
-  struct Waiter {
-    ShardReadReq req;
-    Responder responder;
-  };
   // A position bound before its data arrived (Erwin-st); resolved by data arrival, the
   // primary's no-op timeout, or the fetch ladder (FetchPending).
   struct PendingBinding {
@@ -246,7 +243,6 @@ class ShardServer {
   // Stamps a read reply with this replica's stable/durable tails and current CPU
   // backlog (the router/tail-cache feedback every read reply carries).
   void FillReadPiggyback(ShardReadResp* resp);
-  void WakeWaiters();
   uint64_t DiskAdmissionDelay() const;
   void ScrubOrphans();
   // Appends (tag, pos) journal entries for owned positions that became stable since the
@@ -321,7 +317,7 @@ class ShardServer {
   std::deque<TagIndexEntry> index_journal_;
   LogPos index_pos_frontier_ = 0;
 
-  std::vector<Waiter> waiters_;
+  StableGpWaiters waiters_;  // waiting reads parked past stable-gp
   ShardStats stats_;
 };
 
