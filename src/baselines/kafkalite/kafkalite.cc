@@ -411,10 +411,9 @@ void KafkaShardAdapter::HandleRead(Decoder d, Responder r) {
     r.Send(Status::InvalidArgument("bad read"));
     return;
   }
-  const LogPos first = req->ranges.front().pos;
-  if (req->wait && first >= stable_gp_) {
+  if (req->wait && req->ranges.front().pos >= stable_gp_) {
     slow_reads_++;
-    waiters_.Park(first, [this, req = std::move(req), r = std::move(r)]() mutable {
+    waiters_.Park(req->ranges.front().pos, [this, req, r = std::move(r)]() mutable {
       ServeNextRange(std::move(req), 0, std::make_shared<ShardReadResp>(), std::move(r));
     });
     return;

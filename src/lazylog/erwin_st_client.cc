@@ -4,11 +4,6 @@
 
 namespace lazylog {
 
-namespace {
-// Read path: position-map poll cadence while a position is not yet ordered.
-constexpr uint64_t kPosMapPollNs = 100 * kUs;
-}  // namespace
-
 // --- append (§5.1): data to the shard replicas + metadata to the sequencing replicas,
 // all in parallel, 1 RTT -------------------------------------------------------------------
 
@@ -71,58 +66,62 @@ void ErwinStClient::FetchRange(LogPos from, uint64_t len, ReadCallback cb) {
     ReadMapped(from, len, std::move(cb));
     return;
   }
-  FetchPosMap(from + len, [this, from, len, cb = std::move(cb)]() mutable {
-    if (posmap_.size() >= from + len) {
-      ReadMapped(from, len, std::move(cb));
-      return;
-    }
-    // Positions not ordered yet: slow path — poll until the ordering catches up.
-    endpoint_.loop()->Schedule(kPosMapPollNs, [this, from, len, cb = std::move(cb)]() mutable {
-      FetchRange(from, len, std::move(cb));
-    });
-  });
+  FetchPosMap(from, len, std::move(cb));
 }
 
-void ErwinStClient::FetchPosMap(LogPos needed_end, std::function<void()> then) {
+void ErwinStClient::FetchPosMap(LogPos from, uint64_t len, ReadCallback cb) {
   // Bulk fetch with read-ahead; amortizes the mapping roundtrip over many reads (§5.3).
   const uint64_t readahead = std::max<uint64_t>(1, params_.client_read.posmap_readahead);
   ShardPosMapReq req;
   req.from = posmap_.size();
-  const uint64_t want =
-      needed_end > posmap_.size() ? needed_end - posmap_.size() : readahead;
-  req.len = static_cast<uint32_t>(std::max<uint64_t>(want, readahead));
+  // Park only for positions the caller needs: with the cache off, a fetch of a range
+  // already mapped is the ablation's extra round trip and must not wait for new ones.
+  req.wait = from + len > req.from;
+  req.len = static_cast<uint32_t>(
+      std::max<uint64_t>(req.wait ? from + len - req.from : 0, readahead));
   posmap_fetches_++;
   // Shard 0 predates any runtime-added shard, so its metadata log covers all positions.
   // Every replica serves the map gated on its own stable-gp, so successive fetches
   // rotate across shard 0's replicas instead of pinning one.
   const auto& replicas = view_.shards[0];
   const NodeId target = replicas[(client_id_ + posmap_fetches_) % replicas.size()];
-  // A cold client's first fetch maps the whole log up to `needed_end` in one reply (8 B
-  // per position), so the deadline grows with the span it asks for.
+  // A cold client's first fetch maps the whole log up to `from + len` in one reply (8 B
+  // per position), so the deadline grows with the span it asks for. A parked fetch keeps
+  // it too, not rpc_timeout_ns: one parked at a crashed replica would hold the reader
+  // for the whole RPC timeout, while a healthy park that outlives it is re-sent with a
+  // doubled deadline.
   const uint64_t deadline =
       ReadDeadlineNs(params_, sizeof(uint64_t) * req.len, posmap_misses_);
-  endpoint_.CallMsg(target, kShardPosMap, req,
-                    [this, then = std::move(then)](Status s, Decoder d) mutable {
-                      posmap_misses_ = s.ok() ? 0 : posmap_misses_ + 1;
-                      if (s.ok()) {
-                        ShardPosMapResp resp;
-                        if (resp.Decode(d) && resp.from == posmap_.size()) {
-                          for (uint64_t sid : resp.shard_ids) {
-                            posmap_.push_back(static_cast<uint32_t>(sid));
-                          }
-                          // Every mapped position was stable at the serving replica, so
-                          // the map length is a conservative tail sample.
-                          tails_.Note(endpoint_.loop()->Now(), posmap_.size(),
-                                      posmap_.size());
-                        }
-                        then();
-                        return;
-                      }
-                      // The mapping server may have been replaced out from under us;
-                      // refresh the shard membership before the caller's retry.
-                      RefreshShardConfig(std::move(then));
-                    },
-                    deadline);
+  endpoint_.CallMsg(
+      target, kShardPosMap, req,
+      [this, from, len, cb = std::move(cb)](Status s, Decoder d) mutable {
+        posmap_misses_ = s.ok() ? 0 : posmap_misses_ + 1;
+        // Read once mapped; until then fetch again, which parks while nothing is stable.
+        auto next = [this, from, len, cb = std::move(cb)]() mutable {
+          if (posmap_.size() >= from + len) {
+            ReadMapped(from, len, std::move(cb));
+          } else {
+            FetchPosMap(from, len, std::move(cb));
+          }
+        };
+        if (!s.ok()) {
+          // The mapping server may have been replaced out from under us; refresh the
+          // shard membership before the next fetch.
+          RefreshShardConfig(std::move(next));
+          return;
+        }
+        ShardPosMapResp resp;
+        if (resp.Decode(d) && resp.from == posmap_.size()) {
+          for (uint64_t sid : resp.shard_ids) {
+            posmap_.push_back(static_cast<uint32_t>(sid));
+          }
+          // Every mapped position was stable at the serving replica, so the map length
+          // is a conservative tail sample.
+          tails_.Note(endpoint_.loop()->Now(), posmap_.size(), posmap_.size());
+        }
+        next();
+      },
+      deadline);
 }
 
 void ErwinStClient::ReadMapped(LogPos from, uint64_t len, ReadCallback cb) {

@@ -6,7 +6,6 @@
 #ifndef SRC_LAZYLOG_ERWIN_ST_CLIENT_H_
 #define SRC_LAZYLOG_ERWIN_ST_CLIENT_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -42,7 +41,7 @@ class ErwinStClient : public ErwinClient {
   void FetchRange(LogPos from, uint64_t len, ReadCallback cb) override;
 
  private:
-  void FetchPosMap(LogPos needed_end, std::function<void()> then);
+  void FetchPosMap(LogPos from, uint64_t len, ReadCallback cb);
   // Reads [from, from+len), every position of which the cached map covers.
   void ReadMapped(LogPos from, uint64_t len, ReadCallback cb);
 

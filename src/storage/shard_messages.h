@@ -209,15 +209,19 @@ struct ShardPutDataReq {
 };
 
 // Client -> any shard server (Erwin-st): fetch position->shard mappings for caching.
+// The reply maps the stable positions in [from, from + len). With `wait` a fetch whose
+// reply would be empty parks until stable-gp passes `from`, like a waiting read.
 struct ShardPosMapReq {
   LogPos from = 0;
   uint32_t len = 0;
+  bool wait = false;
 
   void Encode(Encoder& e) const {
     e.PutU64(from);
     e.PutU32(len);
+    e.PutBool(wait);
   }
-  bool Decode(Decoder& d) { return d.GetU64(&from) && d.GetU32(&len); }
+  bool Decode(Decoder& d) { return d.GetU64(&from) && d.GetU32(&len) && d.GetBool(&wait); }
 };
 
 struct ShardPosMapResp {

@@ -627,31 +627,26 @@ void ShardServer::HandleRead(Decoder d, Responder r) {
     r.Send(Status::InvalidArgument("bad read"));
     return;
   }
-  if (req.wait) {
-    const LogPos first = req.ranges.front().pos;
-    if (first < trimmed_below_) {
-      r.Send(Status::OutOfRange("position trimmed"));
-      return;
-    }
-    if (first >= stable_gp_ && !read_gate_disabled_) {
-      // Slow path (§4.4): hold the read until stable-gp passes its first position.
-      stats_.slow_reads++;
-      waiters_.Park(first, [this, req = std::move(req), r = std::move(r)]() mutable {
-        // A start trimmed while the read waited is refused, as it is on arrival.
-        if (req.ranges.front().pos < trimmed_below_) {
-          r.Send(Status::OutOfRange("position trimmed"));
-        } else {
-          ServeRead(req, std::move(r));
-        }
-      });
-      return;
-    }
+  const LogPos first = req.ranges.front().pos;
+  if (req.wait && first >= std::max(stable_gp_, trimmed_below_) && !read_gate_disabled_) {
+    // Slow path (§4.4): hold the read until stable-gp passes its first position.
+    stats_.slow_reads++;
+    waiters_.Park(first, [this, req = std::move(req), r = std::move(r)]() mutable {
+      ServeRead(req, std::move(r));
+    });
+    return;
   }
   stats_.fast_reads++;
   ServeRead(req, std::move(r));
 }
 
 void ShardServer::ServeRead(const ShardReadReq& req, Responder r) {
+  // A waiting read refuses a trimmed start, whether it was trimmed before the read
+  // arrived or while it waited.
+  if (req.wait && req.ranges.front().pos < trimmed_below_) {
+    r.Send(Status::OutOfRange("position trimmed"));
+    return;
+  }
   if (!is_primary()) {
     stats_.backup_reads++;
   }
@@ -734,6 +729,18 @@ void ShardServer::HandlePosMap(Decoder d, Responder r) {
     r.Send(Status::InvalidArgument("bad posmap"));
     return;
   }
+  const LogPos first = std::max(req.from, meta_base_);
+  if (req.wait && first >= std::min<LogPos>(meta_base_ + meta_log_.size(), stable_gp_)) {
+    // Nothing stable is mapped at or after `from`: park like a waiting read. The wake
+    // answers it, even if a position stable there is not mapped here yet.
+    waiters_.Park(first,
+                  [this, req, r = std::move(r)]() mutable { ServePosMap(req, std::move(r)); });
+    return;
+  }
+  ServePosMap(req, std::move(r));
+}
+
+void ShardServer::ServePosMap(const ShardPosMapReq& req, Responder r) {
   ShardPosMapResp resp;
   resp.from = std::max(req.from, meta_base_);
   const LogPos end =

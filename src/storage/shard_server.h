@@ -167,6 +167,7 @@ class ShardServer {
   // Peer fetch: answer with whatever is bound at a position (record or no-op).
   void HandleFetchRecord(Decoder d, Responder r);
   void HandlePosMap(Decoder d, Responder r);
+  void ServePosMap(const ShardPosMapReq& req, Responder r);
   void HandleIndexDelta(Decoder d, Responder r);  // index node -> primary: tag index pull
   void HandleTrim(Decoder d, Responder r);
   void HandleFetchState(Decoder d, Responder r);
@@ -317,7 +318,7 @@ class ShardServer {
   std::deque<TagIndexEntry> index_journal_;
   LogPos index_pos_frontier_ = 0;
 
-  StableGpWaiters waiters_;  // waiting reads parked past stable-gp
+  StableGpWaiters waiters_;  // waiting reads and posmap fetches parked past stable-gp
   ShardStats stats_;
 };
 

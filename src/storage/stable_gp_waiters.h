@@ -1,8 +1,6 @@
-// The one wait rule of the read path (§4.4): a request that asks past stable-gp parks
-// until stable-gp passes its first position. Every server that gates on stable-gp
-// parks such requests here as (first position, serve callback) entries; its stable-gp
-// advance calls Wake, which serves every entry whose first position is now below
-// stable-gp, in park order, and keeps the rest in order.
+// The read path's one wait rule (§4.4): a request asking past stable-gp parks until
+// stable-gp passes its first position. Wake serves, in park order, every entry whose
+// first position is below the new stable-gp and keeps the rest in order.
 #ifndef SRC_STORAGE_STABLE_GP_WAITERS_H_
 #define SRC_STORAGE_STABLE_GP_WAITERS_H_
 
@@ -19,26 +17,22 @@ class StableGpWaiters {
   // Holds a parked request, its responder and the server's `this` without allocating.
   using Serve = InlineFunction<void(), 64>;
 
-  void Park(LogPos first, Serve serve) { parked_.push_back(Entry{first, std::move(serve)}); }
+  void Park(LogPos first, Serve serve) { parked_.emplace_back(first, std::move(serve)); }
 
   void Wake(LogPos stable_gp) {
-    std::vector<Entry> parked = std::move(parked_);
+    std::vector<std::pair<LogPos, Serve>> parked = std::move(parked_);
     parked_.clear();
-    for (Entry& e : parked) {
-      if (e.first < stable_gp) {
-        e.serve();
+    for (auto& [first, serve] : parked) {
+      if (first < stable_gp) {
+        serve();
       } else {
-        parked_.push_back(std::move(e));
+        parked_.emplace_back(first, std::move(serve));
       }
     }
   }
 
  private:
-  struct Entry {
-    LogPos first;
-    Serve serve;
-  };
-  std::vector<Entry> parked_;
+  std::vector<std::pair<LogPos, Serve>> parked_;
 };
 
 }  // namespace lazylog

@@ -143,6 +143,9 @@ TEST(ErwinSt, SlowPathReadWaitsForPosMap) {
   });
   cluster.RunFor(5 * kMs);
   EXPECT_FALSE(done);
+  // The position-map fetch parks at the shard instead of polling: over the idle wait
+  // only the short fetch deadline (about 2 ms, then doubled) re-sends it.
+  EXPECT_LE(client->posmap_fetches(), 3u);
   ASSERT_TRUE(AppendSyncly(cluster.loop(), *client, "arrives-later"));
   RunUntilDone(cluster.loop(), done, 10 * kSec);
   EXPECT_TRUE(done);

@@ -399,6 +399,48 @@ TEST(PrimaryFailover, PosmapFetchFailsOverWithinReadDeadline) {
   EXPECT_LT(slowest, 10 * kMs) << "a posmap fetch waited out a long timeout";
 }
 
+TEST(PrimaryFailover, ParkedPosmapFetchFailsOverWithinReadDeadline) {
+  // A tail read's position-map fetch parks past stable at shard 0's primary, and the
+  // primary crashes. The parked fetch keeps the short read deadline, so it moves on to
+  // a live replica and the read completes soon after the next append; on the 50 ms
+  // generic RPC timeout it would hold the reader until that timeout ran out.
+  ErwinClusterOptions opt = FailoverReadOptions();
+  opt.params.client_read.posmap_readahead = 1;
+  ErwinCluster cluster(opt);
+  auto client = cluster.MakeStClient();
+  constexpr uint64_t kN = 8;
+  FillStable(cluster, *client, kN);
+  // Fetch k goes to shard 0's replica (client id + k) % 3, and replica 0 is the
+  // primary. Map [0, kN) in 1 + `extra` fetches so that the tail fetch lands there.
+  const uint64_t extra = (3 - (client->client_id() + 2) % 3) % 3;
+  TimedExactRead(cluster, *client, 0, kN - extra);
+  for (LogPos pos = kN - extra; pos < kN; ++pos) {
+    TimedExactRead(cluster, *client, pos, 1);
+  }
+  ASSERT_EQ(client->posmap_fetches(), 1 + extra);
+
+  bool done = false;
+  SimTime read_at = 0;
+  client->log().Read(kN, 1, [&](Status s, std::vector<PositionedRecord> recs) {
+    ASSERT_TRUE(s.ok());
+    ASSERT_EQ(recs.size(), 1u);
+    EXPECT_EQ(recs[0].record.payload.ToString(), "fo-" + std::to_string(kN));
+    read_at = cluster.loop().Now();
+    done = true;
+  });
+  cluster.RunFor(1 * kMs);
+  ASSERT_FALSE(done);
+  ASSERT_EQ((client->client_id() + client->posmap_fetches()) % 3, 0u)
+      << "the tail fetch is not parked at the primary";
+
+  cluster.CrashShardPrimary(0);
+  ASSERT_TRUE(AppendSyncly(cluster.loop(), *client, "fo-" + std::to_string(kN)));
+  const SimTime acked = cluster.loop().Now();
+  RunUntilDone(cluster.loop(), done, 10 * kSec);
+  ASSERT_TRUE(done);
+  EXPECT_LT(read_at, acked + 10 * kMs) << "the parked fetch held the tail reader";
+}
+
 TEST(PrimaryFailover, ControllerSnapshotExportsFailoverCounters) {
   ErwinCluster cluster(Options(ErwinMode::kSt));
   auto client = cluster.MakeStClient();

@@ -569,6 +569,41 @@ TEST(ShardSt, PosMapServedUpToStable) {
   EXPECT_EQ(ids[2], 0u);
 }
 
+TEST(ShardSt, PosMapWaitParksUntilStable) {
+  ShardHarness h(ShardMode::kStModified);
+  std::vector<MetaEntry> entries;
+  for (uint64_t i = 0; i < 4; ++i) {
+    entries.push_back(MetaEntry{i, RecordId{14, i + 1}, /*shard=*/1});
+  }
+  ASSERT_TRUE(h.OrderMeta(1, entries).ok());
+  h.SetStable(1, 2);
+  // Fetches [2, 12), of which nothing is stable yet.
+  auto fetch = [&](bool wait, ShardPosMapResp* resp, bool* done) {
+    h.client_->CallMsg(h.ids_[0], kShardPosMap, ShardPosMapReq{2, 10, wait},
+                       [resp, done](Status s, Decoder d) {
+                         ASSERT_TRUE(s.ok() && resp->Decode(d));
+                         *done = true;
+                       },
+                       kSec);
+  };
+  ShardPosMapResp at_once;
+  bool answered = false;
+  fetch(/*wait=*/false, &at_once, &answered);
+  h.loop_.RunUntil(h.loop_.Now() + 1 * kMs);
+  ASSERT_TRUE(answered) << "a non-waiting fetch must answer at once";
+  EXPECT_TRUE(at_once.shard_ids.empty());
+
+  ShardPosMapResp parked;
+  bool woken = false;
+  fetch(/*wait=*/true, &parked, &woken);
+  h.loop_.RunUntil(h.loop_.Now() + 10 * kMs);
+  EXPECT_FALSE(woken) << "a waiting fetch past stable answered before stable-gp moved";
+  h.SetStable(1, 4);
+  ASSERT_TRUE(woken);
+  EXPECT_EQ(parked.from, 2u);
+  EXPECT_EQ(parked.shard_ids, (std::vector<uint64_t>{1, 1}));
+}
+
 TEST(ShardSt, PosMapFetchPaysItsByteCost) {
   ShardHarness h(ShardMode::kStModified, 2, SlowShardCpu());
   constexpr uint32_t kN = 256;
