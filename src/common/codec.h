@@ -223,9 +223,10 @@ class Decoder {
   bool GetU8(uint8_t* v) { return GetFixed(v, sizeof(*v)); }
   bool GetU32(uint32_t* v) { return GetFixed(v, sizeof(*v)); }
   bool GetU64(uint64_t* v) { return GetFixed(v, sizeof(*v)); }
+  // Only the bytes PutBool writes decode, so one message has exactly one encoding.
   bool GetBool(bool* v) {
     uint8_t b = 0;
-    if (!GetU8(&b)) {
+    if (!GetU8(&b) || b > 1) {
       return false;
     }
     *v = b != 0;
@@ -354,26 +355,39 @@ inline bool DecodeRecordId(Decoder& d, RecordId* id) {
 }
 
 // Record flags byte. Bit 0 is the no_op marker (so a legacy encoder's trailing
-// PutBool(no_op) byte decodes unchanged, with tag = kNoTag); bit 1 says a u64 stream
-// tag follows; bit 2 says a u64 phylog id follows. Untagged default-log records
-// therefore stay byte-identical to the pre-tag, pre-virtual-log format.
+// PutBool(no_op) byte decodes unchanged, with tag = kNoTag); bits 1 and 2 are the
+// tag/log flags below. Untagged default-log records therefore stay byte-identical to
+// the pre-tag, pre-virtual-log format.
 inline constexpr uint8_t kRecordFlagNoOp = 0x1;
+// Flag bits saying a u64 stream tag or a u64 phylog id follows the flags byte, shared
+// by records, sequencer appends and Erwin-st data writes. Each id is written only when
+// it is not the default, so a flag followed by the default is malformed.
 inline constexpr uint8_t kRecordFlagHasTag = 0x2;
 inline constexpr uint8_t kRecordFlagHasLog = 0x4;
+
+inline uint8_t TagLogFlags(StreamTag tag, LogId log) {
+  return (tag != kNoTag ? kRecordFlagHasTag : 0) | (log != kDefaultLog ? kRecordFlagHasLog : 0);
+}
+inline void EncodeTagLog(Encoder& e, StreamTag tag, LogId log) {
+  if (tag != kNoTag) {
+    e.PutU64(tag);
+  }
+  if (log != kDefaultLog) {
+    e.PutU64(log);
+  }
+}
+inline bool DecodeTagLog(Decoder& d, uint8_t flags, StreamTag* tag, LogId* log) {
+  *tag = kNoTag;
+  *log = kDefaultLog;
+  return ((flags & kRecordFlagHasTag) == 0 || (d.GetU64(tag) && *tag != kNoTag)) &&
+         ((flags & kRecordFlagHasLog) == 0 || (d.GetU64(log) && *log != kDefaultLog));
+}
 
 inline void EncodeRecord(Encoder& e, const Record& r) {
   EncodeRecordId(e, r.id);
   e.PutAttached(r.payload);
-  uint8_t flags = (r.no_op ? kRecordFlagNoOp : 0) |
-                  (r.tag != kNoTag ? kRecordFlagHasTag : 0) |
-                  (r.log != kDefaultLog ? kRecordFlagHasLog : 0);
-  e.PutU8(flags);
-  if (r.tag != kNoTag) {
-    e.PutU64(r.tag);
-  }
-  if (r.log != kDefaultLog) {
-    e.PutU64(r.log);
-  }
+  e.PutU8((r.no_op ? kRecordFlagNoOp : 0) | TagLogFlags(r.tag, r.log));
+  EncodeTagLog(e, r.tag, r.log);
 }
 inline bool DecodeRecord(Decoder& d, Record* r) {
   if (!DecodeRecordId(d, &r->id) || !d.GetAttached(&r->payload)) {
@@ -385,15 +399,7 @@ inline bool DecodeRecord(Decoder& d, Record* r) {
     return false;  // unknown flag bits: malformed, bail like GetU64Vector does
   }
   r->no_op = (flags & kRecordFlagNoOp) != 0;
-  r->tag = kNoTag;
-  if ((flags & kRecordFlagHasTag) != 0 && !d.GetU64(&r->tag)) {
-    return false;
-  }
-  r->log = kDefaultLog;
-  if ((flags & kRecordFlagHasLog) != 0 && !d.GetU64(&r->log)) {
-    return false;
-  }
-  return true;
+  return DecodeTagLog(d, flags, &r->tag, &r->log);
 }
 
 // A record wrapper with member Encode/Decode so PutVector/GetVector apply.

@@ -32,41 +32,27 @@ struct SeqAppendReq {
   LogId log = kDefaultLog;  // phylog this record belongs to (virtual-log layer)
 
   // The old trailing PutBool(is_meta) byte is reinterpreted as a flags byte: bit 0 is
-  // is_meta (so untagged legacy frames decode unchanged), bit 1 says a u64 tag
-  // follows, bit 2 says a u64 phylog id follows.
+  // is_meta (so untagged legacy frames decode unchanged), and the record codec's
+  // kRecordFlagHasTag / kRecordFlagHasLog say a u64 tag or phylog id follows.
   static constexpr uint8_t kFlagIsMeta = 0x1;
-  static constexpr uint8_t kFlagHasTag = 0x2;
-  static constexpr uint8_t kFlagHasLog = 0x4;
 
   void Encode(Encoder& e) const {
     e.PutU64(view);
     EncodeRecordId(e, id);
     e.PutAttached(payload);
     e.PutU32(target_shard);
-    uint8_t flags = (is_meta ? kFlagIsMeta : 0) | (tag != kNoTag ? kFlagHasTag : 0) |
-                    (log != kDefaultLog ? kFlagHasLog : 0);
-    e.PutU8(flags);
-    if (tag != kNoTag) {
-      e.PutU64(tag);
-    }
-    if (log != kDefaultLog) {
-      e.PutU64(log);
-    }
+    e.PutU8((is_meta ? kFlagIsMeta : 0) | TagLogFlags(tag, log));
+    EncodeTagLog(e, tag, log);
   }
   bool Decode(Decoder& d) {
     uint8_t flags = 0;
     if (!d.GetU64(&view) || !DecodeRecordId(d, &id) || !d.GetAttached(&payload) ||
         !d.GetU32(&target_shard) || !d.GetU8(&flags) ||
-        (flags & ~(kFlagIsMeta | kFlagHasTag | kFlagHasLog)) != 0) {
+        (flags & ~(kFlagIsMeta | kRecordFlagHasTag | kRecordFlagHasLog)) != 0) {
       return false;
     }
     is_meta = (flags & kFlagIsMeta) != 0;
-    tag = kNoTag;
-    if ((flags & kFlagHasTag) != 0 && !d.GetU64(&tag)) {
-      return false;
-    }
-    log = kDefaultLog;
-    return (flags & kFlagHasLog) == 0 || d.GetU64(&log);
+    return DecodeTagLog(d, flags, &tag, &log);
   }
 };
 
@@ -208,7 +194,7 @@ struct SeqShardFailoverReq {
 // leader can enforce per-tenant quotas. Deleted logs stay as tombstones: the id is
 // never reused and the leader refuses new appends to it.
 struct LogRegistryEntry {
-  static constexpr size_t kMinEncodedSize = 8 + 4 + 8 + 1;  // id + name marker + quota + flags
+  static constexpr size_t kMinEncodedSize = 8 + 4 + 8 + 1;  // id + name marker + quota + deleted
   LogId id = kDefaultLog;
   std::string name;
   uint64_t quota_per_sec = 0;  // admitted appends/s for this phylog; 0 = unlimited
@@ -218,16 +204,11 @@ struct LogRegistryEntry {
     e.PutU64(id);
     e.PutBytes(name);
     e.PutU64(quota_per_sec);
-    e.PutU8(deleted ? 1 : 0);
+    e.PutBool(deleted);
   }
   bool Decode(Decoder& d) {
-    uint8_t flags = 0;
-    if (!d.GetU64(&id) || !d.GetBytes(&name) || !d.GetU64(&quota_per_sec) ||
-        !d.GetU8(&flags)) {
-      return false;
-    }
-    deleted = (flags & 1) != 0;
-    return true;
+    return d.GetU64(&id) && d.GetBytes(&name) && d.GetU64(&quota_per_sec) &&
+           d.GetBool(&deleted);
   }
 };
 

@@ -176,35 +176,22 @@ struct ShardPutDataReq {
   StreamTag tag = kNoTag;  // carried with the data so the bound record keeps its stream
   LogId log = kDefaultLog;  // carried with the data so the bound record keeps its phylog
 
-  // Trailing flags byte mirroring the record codec: bit 1 says a u64 tag follows, bit 2
-  // a u64 phylog id. Untagged default-log frames stay byte-identical to the pre-tag
+  // Trailing flags byte mirroring the record codec (kRecordFlagHasTag /
+  // kRecordFlagHasLog). Untagged default-log frames stay byte-identical to the pre-tag
   // format plus one zero byte.
-  static constexpr uint8_t kFlagHasTag = 0x2;
-  static constexpr uint8_t kFlagHasLog = 0x4;
-
   void Encode(Encoder& e) const {
     EncodeRecordId(e, id);
     e.PutAttached(payload);
-    e.PutU8((tag != kNoTag ? kFlagHasTag : 0) | (log != kDefaultLog ? kFlagHasLog : 0));
-    if (tag != kNoTag) {
-      e.PutU64(tag);
-    }
-    if (log != kDefaultLog) {
-      e.PutU64(log);
-    }
+    e.PutU8(TagLogFlags(tag, log));
+    EncodeTagLog(e, tag, log);
   }
   bool Decode(Decoder& d) {
     uint8_t flags = 0;
     if (!DecodeRecordId(d, &id) || !d.GetAttached(&payload) || !d.GetU8(&flags) ||
-        (flags & ~(kFlagHasTag | kFlagHasLog)) != 0) {
+        (flags & ~(kRecordFlagHasTag | kRecordFlagHasLog)) != 0) {
       return false;
     }
-    tag = kNoTag;
-    if ((flags & kFlagHasTag) != 0 && !d.GetU64(&tag)) {
-      return false;
-    }
-    log = kDefaultLog;
-    return (flags & kFlagHasLog) == 0 || d.GetU64(&log);
+    return DecodeTagLog(d, flags, &tag, &log);
   }
 };
 

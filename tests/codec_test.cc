@@ -2,6 +2,10 @@
 // decoder must fail cleanly, never crash), and property-style random round trips.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "src/common/codec.h"
 #include "src/common/random.h"
 #include "src/common/status.h"
@@ -226,7 +230,7 @@ TEST(Codec, TaggedShardPutDataRoundTrip) {
   Encoder e;
   EncodeRecordId(e, put.id);
   e.PutAttached(put.payload);
-  e.PutU8(ShardPutDataReq::kFlagHasTag);
+  e.PutU8(kRecordFlagHasTag);
   Decoder d(e.TakeBuf(), e.TakeAtts());
   ShardPutDataReq out;
   EXPECT_FALSE(out.Decode(d));
@@ -500,42 +504,305 @@ TEST_P(CodecFuzz, RandomBatchRoundTrip) {
   }
 }
 
+// Every wire message type with a Decode method, for the fuzz passes below: the 22 of
+// shard_messages.h (ShardWindowReq once per body), the 15 of seq_messages.h and the 2
+// of index_messages.h. `make` encodes a random valid message; `decode` decodes one
+// and, on success, re-encodes what it decoded into `out`.
+struct WireType {
+  const char* name;
+  std::function<void(Rng&, Encoder&)> make;
+  std::function<bool(Decoder&, Encoder& out)> decode;
+};
+
+// Mostly small values, which keeps vector lengths and flags in range, and some full
+// 64-bit ones.
+uint64_t RandU64(Rng& rng) { return rng.Chance(0.7) ? rng.Uniform(16) : rng.Next(); }
+uint32_t RandU32(Rng& rng) { return static_cast<uint32_t>(RandU64(rng)); }
+RecordId RandId(Rng& rng) { return RecordId{RandU64(rng), RandU64(rng)}; }
+Buf RandPayload(Rng& rng) { return Buf::FromString(std::string(rng.Uniform(24), 'p')); }
+std::vector<uint64_t> RandU64s(Rng& rng) {
+  std::vector<uint64_t> v(rng.Uniform(4));
+  for (uint64_t& x : v) {
+    x = RandU64(rng);
+  }
+  return v;
+}
+template <typename T>
+std::vector<T> RandVec(Rng& rng, T (*make)(Rng&)) {
+  std::vector<T> v(rng.Uniform(4));
+  for (T& x : v) {
+    x = make(rng);
+  }
+  return v;
+}
+Record RandRecord(Rng& rng) {
+  Record r{RandId(rng), RandPayload(rng), rng.Chance(0.2)};
+  r.tag = RandU64(rng);
+  r.log = RandU64(rng);
+  return r;
+}
+PositionedRecord RandPositioned(Rng& rng) { return PositionedRecord{RandU64(rng), RandRecord(rng)}; }
+MetaEntry RandMeta(Rng& rng) { return MetaEntry{RandU64(rng), RandId(rng), RandU32(rng)}; }
+ReadRange RandRange(Rng& rng) { return ReadRange{RandU64(rng), RandU32(rng)}; }
+TagIndexEntry RandTagEntry(Rng& rng) {
+  return TagIndexEntry{RandU64(rng), RandU64(rng), RandU64(rng)};
+}
+WireRecordId RandWireId(Rng& rng) { return WireRecordId{RandId(rng)}; }
+LogRegistryEntry RandRegistryEntry(Rng& rng) {
+  return LogRegistryEntry{RandU64(rng), std::string(rng.Uniform(8), 'n'), RandU64(rng),
+                          rng.Chance(0.5)};
+}
+
+template <typename T>
+WireType Wire(const char* name, T (*make)(Rng&)) {
+  return WireType{name, [make](Rng& rng, Encoder& e) { make(rng).Encode(e); },
+                  [](Decoder& d, Encoder& out) {
+                    T m;
+                    if (!m.Decode(d)) {
+                      return false;
+                    }
+                    m.Encode(out);
+                    return true;
+                  }};
+}
+
+// ShardWindowReq picks its body by the receiver's mode: one entry per body.
+WireType Window(const char* name, bool meta_body) {
+  return WireType{name,
+                  [meta_body](Rng& rng, Encoder& e) {
+                    ShardWindowReq m;
+                    m.view = RandU64(rng);
+                    m.overwrite = rng.Chance(0.5);
+                    m.truncate_from = RandU64(rng);
+                    m.range_lo = RandU64(rng);
+                    m.range_hi = RandU64(rng);
+                    if (meta_body) {
+                      m.entries = RandVec(rng, RandMeta);
+                    } else {
+                      m.records = RandVec(rng, RandPositioned);
+                    }
+                    m.Encode(e);
+                  },
+                  [meta_body](Decoder& d, Encoder& out) {
+                    ShardWindowReq m;
+                    if (!m.Decode(d, meta_body)) {
+                      return false;
+                    }
+                    m.Encode(out);
+                    return true;
+                  }};
+}
+
+const std::vector<WireType>& AllWireTypes() {
+  static const std::vector<WireType> types = {
+      // shard_messages.h
+      Wire<PositionedRecord>("PositionedRecord", RandPositioned),
+      Wire<MetaEntry>("MetaEntry", RandMeta),
+      Window("ShardWindowReq/records", false),
+      Window("ShardWindowReq/entries", true),
+      Wire<ShardOrderAckResp>("ShardOrderAckResp",
+                              [](Rng& rng) { return ShardOrderAckResp{RandU64(rng)}; }),
+      Wire<ReadRange>("ReadRange", RandRange),
+      Wire<ShardReadReq>("ShardReadReq",
+                         [](Rng& rng) {
+                           return ShardReadReq{RandVec(rng, RandRange), rng.Chance(0.5)};
+                         }),
+      Wire<ShardReadResp>("ShardReadResp",
+                          [](Rng& rng) {
+                            ShardReadResp m;
+                            m.records = RandVec(rng, RandPositioned);
+                            m.counts.assign(rng.Uniform(4), RandU32(rng));
+                            m.stable_gp = RandU64(rng);
+                            m.durable_tail = RandU64(rng);
+                            m.queue_ns = RandU64(rng);
+                            return m;
+                          }),
+      Wire<ShardPutDataReq>("ShardPutDataReq",
+                            [](Rng& rng) {
+                              return ShardPutDataReq{RandId(rng), RandPayload(rng),
+                                                     RandU64(rng), RandU64(rng)};
+                            }),
+      Wire<ShardPosMapReq>("ShardPosMapReq",
+                           [](Rng& rng) {
+                             return ShardPosMapReq{RandU64(rng), RandU32(rng),
+                                                   rng.Chance(0.5)};
+                           }),
+      Wire<ShardPosMapResp>("ShardPosMapResp",
+                            [](Rng& rng) {
+                              return ShardPosMapResp{RandU64(rng), RandU64s(rng)};
+                            }),
+      Wire<TagIndexEntry>("TagIndexEntry", RandTagEntry),
+      Wire<ShardIndexDeltaReq>("ShardIndexDeltaReq",
+                               [](Rng& rng) {
+                                 return ShardIndexDeltaReq{RandU64(rng), RandU32(rng)};
+                               }),
+      Wire<ShardIndexDeltaResp>("ShardIndexDeltaResp",
+                                [](Rng& rng) {
+                                  return ShardIndexDeltaResp{RandU64(rng), RandU64(rng),
+                                                             RandU64(rng), RandU64(rng),
+                                                             RandVec(rng, RandTagEntry)};
+                                }),
+      Wire<StableGpMsg>("StableGpMsg",
+                        [](Rng& rng) {
+                          return StableGpMsg{RandU64(rng), RandU64(rng), RandU64(rng)};
+                        }),
+      Wire<ShardSealReq>("ShardSealReq", [](Rng& rng) { return ShardSealReq{RandU64(rng)}; }),
+      Wire<ShardCopyStateReq>("ShardCopyStateReq",
+                              [](Rng& rng) { return ShardCopyStateReq{RandU32(rng)}; }),
+      Wire<TrimMsg>("TrimMsg", [](Rng& rng) { return TrimMsg{RandU64(rng)}; }),
+      Wire<ShardPromoSealReq>("ShardPromoSealReq",
+                              [](Rng& rng) { return ShardPromoSealReq{RandU64(rng)}; }),
+      Wire<ShardCompletenessResp>("ShardCompletenessResp",
+                                  [](Rng& rng) {
+                                    return ShardCompletenessResp{RandU64(rng), RandU64(rng),
+                                                                 RandU64(rng), RandU64(rng),
+                                                                 RandU64(rng)};
+                                  }),
+      Wire<ShardPromoteReq>("ShardPromoteReq",
+                            [](Rng& rng) {
+                              return ShardPromoteReq{RandU64(rng), RandU64s(rng),
+                                                     RandU64s(rng)};
+                            }),
+      Wire<FetchRecordReq>("FetchRecordReq",
+                           [](Rng& rng) { return FetchRecordReq{RandU64(rng)}; }),
+      Wire<NoOpMsg>("NoOpMsg", [](Rng& rng) { return NoOpMsg{RandU64(rng), RandId(rng)}; }),
+      // seq_messages.h
+      Wire<WireRecordId>("WireRecordId", RandWireId),
+      Wire<SeqAppendReq>("SeqAppendReq",
+                         [](Rng& rng) {
+                           return SeqAppendReq{RandU64(rng),    RandId(rng),
+                                               RandPayload(rng), RandU32(rng),
+                                               rng.Chance(0.5), RandU64(rng),
+                                               RandU64(rng)};
+                         }),
+      Wire<SeqGcReq>("SeqGcReq",
+                     [](Rng& rng) {
+                       return SeqGcReq{RandU64(rng), RandU64(rng), RandVec(rng, RandWireId)};
+                     }),
+      Wire<SeqSealReq>("SeqSealReq", [](Rng& rng) { return SeqSealReq{RandU64(rng)}; }),
+      Wire<SeqSealResp>("SeqSealResp",
+                        [](Rng& rng) { return SeqSealResp{RandU64(rng), RandU64(rng)}; }),
+      Wire<SeqFlushReq>("SeqFlushReq", [](Rng& rng) { return SeqFlushReq{RandU64(rng)}; }),
+      Wire<SeqFlushResp>("SeqFlushResp",
+                         [](Rng& rng) {
+                           return SeqFlushResp{RandU64(rng), RandVec(rng, RandWireId)};
+                         }),
+      Wire<SeqStartViewReq>("SeqStartViewReq",
+                            [](Rng& rng) {
+                              return SeqStartViewReq{RandU64(rng), RandU64s(rng), RandU64(rng),
+                                                     RandU64(rng), RandVec(rng, RandWireId)};
+                            }),
+      Wire<SeqCheckTailResp>("SeqCheckTailResp",
+                             [](Rng& rng) {
+                               return SeqCheckTailResp{RandU64(rng), RandU64(rng),
+                                                       RandU64(rng)};
+                             }),
+      Wire<SeqUpdateShardsReq>("SeqUpdateShardsReq",
+                               [](Rng& rng) {
+                                 return SeqUpdateShardsReq{RandU32(rng), RandU32(rng)};
+                               }),
+      Wire<SeqShardFailoverReq>("SeqShardFailoverReq",
+                                [](Rng& rng) {
+                                  return SeqShardFailoverReq{RandU32(rng), RandU32(rng),
+                                                             RandU32(rng), RandU64(rng)};
+                                }),
+      Wire<LogRegistryEntry>("LogRegistryEntry", RandRegistryEntry),
+      Wire<SeqUpdateLogsReq>("SeqUpdateLogsReq",
+                             [](Rng& rng) {
+                               return SeqUpdateLogsReq{RandU64(rng),
+                                                       RandVec(rng, RandRegistryEntry)};
+                             }),
+      Wire<SeqCheckTailReq>("SeqCheckTailReq",
+                            [](Rng& rng) { return SeqCheckTailReq{RandU64(rng)}; }),
+      Wire<SeqConfigResp>("SeqConfigResp",
+                          [](Rng& rng) {
+                            return SeqConfigResp{RandU64(rng), rng.Chance(0.5), RandU64s(rng)};
+                          }),
+      // index_messages.h
+      Wire<IndexReadNextReq>("IndexReadNextReq",
+                             [](Rng& rng) {
+                               return IndexReadNextReq{RandU64(rng), RandU64(rng),
+                                                       RandU32(rng), RandU64(rng),
+                                                       rng.Chance(0.5)};
+                             }),
+      Wire<IndexReadNextResp>("IndexReadNextResp",
+                              [](Rng& rng) {
+                                IndexReadNextResp m;
+                                m.positions = RandU64s(rng);
+                                m.shard_ids.assign(m.positions.size(), RandU64(rng));
+                                m.indexed_upto = RandU64(rng);
+                                return m;
+                              }),
+  };
+  return types;
+}
+
+std::vector<Buf> RandAtts(Rng& rng) {
+  std::vector<Buf> atts(rng.Uniform(3));
+  for (Buf& a : atts) {
+    a = RandPayload(rng);
+  }
+  return atts;
+}
+
 TEST_P(CodecFuzz, RandomBytesNeverCrashDecoders) {
   Rng rng(GetParam() ^ 0xf00d);
-  std::string junk(rng.Uniform(256), '\0');
-  for (char& c : junk) {
-    c = static_cast<char>(rng.Next());
+  for (const WireType& type : AllWireTypes()) {
+    std::string junk(rng.Uniform(256), '\0');
+    for (char& c : junk) {
+      c = static_cast<char>(rng.Next());
+    }
+    // Failure is fine; a crash, an overread or a runaway allocation is not.
+    Decoder d(Buf::Copy(junk), RandAtts(rng));
+    Encoder out;
+    (void)type.decode(d, out);
   }
-  // None of these may crash; failure is fine.
-  {
-    Decoder d(junk);
-    ShardWindowReq m;
-    (void)m.Decode(d, /*meta_body=*/false);
-  }
-  {
-    Decoder d(junk);
-    SeqStartViewReq m;
-    (void)m.Decode(d);
-  }
-  {
-    Decoder d(junk);
-    ShardWindowReq m;
-    (void)m.Decode(d, /*meta_body=*/true);
-  }
-  {
-    Decoder d(junk);
-    SeqAppendReq m;
-    (void)m.Decode(d);
-  }
-  {
-    Decoder d(junk);
-    ShardIndexDeltaResp m;
-    (void)m.Decode(d);
-  }
-  {
-    Decoder d(junk);
-    IndexReadNextResp m;
-    (void)m.Decode(d);
+}
+
+// A valid encoding with one byte flipped, cut short or with bytes inserted either fails
+// to decode, or decodes to a message that re-encodes to exactly the bytes (and the
+// attachments) the decoder consumed: no two encodings mean the same message.
+TEST_P(CodecFuzz, MutatedEncodingsFailOrRoundTrip) {
+  Rng rng(GetParam() ^ 0xbeef);
+  for (const WireType& type : AllWireTypes()) {
+    for (int iter = 0; iter < 500; ++iter) {
+      Encoder e;
+      type.make(rng, e);
+      std::string bytes(e.data());
+      const std::vector<Buf> atts = e.TakeAtts();
+      {
+        Decoder d(Buf::Copy(bytes), atts);
+        Encoder out;
+        ASSERT_TRUE(type.decode(d, out)) << type.name;
+        ASSERT_TRUE(d.Done()) << type.name;
+        ASSERT_EQ(std::string(out.data()), bytes) << type.name;
+      }
+      const uint64_t op = rng.Uniform(3);
+      if (op == 0 && !bytes.empty()) {
+        bytes[rng.Uniform(bytes.size())] ^= static_cast<char>(rng.Range(1, 255));
+      } else if (op == 1 && !bytes.empty()) {
+        bytes.resize(rng.Uniform(bytes.size()));
+      } else {
+        std::string extra(rng.Range(1, 8), '\0');
+        for (char& c : extra) {
+          c = static_cast<char>(rng.Next());
+        }
+        bytes.insert(rng.Uniform(bytes.size() + 1), extra);
+      }
+      Decoder d(Buf::Copy(bytes), atts);
+      Encoder out;
+      if (!type.decode(d, out)) {
+        continue;
+      }
+      const std::string consumed = bytes.substr(0, bytes.size() - d.Remaining());
+      EXPECT_EQ(std::string(out.data()), consumed)
+          << type.name << ": op " << op << " decoded to a different message";
+      const std::vector<Buf> reencoded = out.TakeAtts();
+      ASSERT_EQ(reencoded.size(), atts.size() - d.remaining_atts()) << type.name;
+      for (size_t i = 0; i < reencoded.size(); ++i) {
+        EXPECT_EQ(reencoded[i], atts[i]) << type.name;
+      }
+    }
   }
 }
 
